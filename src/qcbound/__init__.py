@@ -57,7 +57,6 @@ from .funcfield import (
     RationalFunc,
     chart_for,
     default_truncation,
-    expand_at,
     infinite_chart,
     ledger_derivative,
     ledger_general_derivative,

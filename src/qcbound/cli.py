@@ -144,8 +144,7 @@ def cmd_operator(args):
     curve = curve_from_args(args)
     p = Prime(args.p)
     _require(has_smooth_reduction(curve, p), f"bad reduction at {int(p)}")
-    g = curve.genus
-    q = 2 * g + 1 if curve.kind == "even" else 2 * g
+    q = curve.basis_size
     print(f"non-Weierstrass disks: D = (d/dx)^{q} (d/omega_0), order {q + 1}")
     D1 = weierstrass_annihilator(curve, p=p)
     print(f"Weierstrass operator D_1: order {D1.order} "
@@ -153,7 +152,7 @@ def cmd_operator(args):
     wdisks = [d for d in residue_disks(curve, p) if d.kind == "affine_weierstrass"]
     if not wdisks:
         print("no affine Weierstrass disks at this prime")
-    T = args.T or default_truncation(g)
+    T = args.T or default_truncation(curve.genus)
     for disk in wdisks:
         lead_val = D1.leading.value_mod_p(disk.x_bar, 0, p)
         line = f"disk {disk}: det(B) = {lead_val} mod {int(p)} (unit)" if lead_val else f"disk {disk}: det(B) = 0"

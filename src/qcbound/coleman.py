@@ -38,13 +38,8 @@ from .polys import Poly
 from .series import TruncatedSeries
 
 
-def basis_size(curve):
-    """2g+1 dx-quotients x^i/y on even models, 2g on odd ones."""
-    return 2 * curve.genus + 1 if curve.kind == "even" else 2 * curve.genus
-
-
 def default_basis(curve):
-    return [CurveFunction.x_power_over_y(curve, i) for i in range(basis_size(curve))]
+    return [CurveFunction.x_power_over_y(curve, i) for i in range(curve.basis_size)]
 
 
 @dataclass
@@ -75,16 +70,14 @@ class ColemanSpec:
         if self.basis is None:
             self.basis = default_basis(self.curve)
         n = len(self.basis)
-        self.a_matrix = [[Fraction(c) for c in row] for row in self.a_matrix]
-        self.a_vector = [Fraction(c) for c in self.a_vector]
-        if len(self.a_matrix) != n or any(len(row) != n for row in self.a_matrix):
-            raise DomainError(f"a_matrix must be {n} x {n} for this basis")
-        if len(self.a_vector) != n:
-            raise DomainError(f"a_vector must have length {n}")
+        self.a_matrix = _rational_matrix(self.a_matrix, n, "a_matrix")
+        self.a_vector = _rational_list(self.a_vector, n, "a_vector")
         if self.h is None:
             self.h = CurveFunction.const(self.curve, 0)
         if self.T is None:
             self.T = default_truncation(self.curve.genus)
+        elif not isinstance(self.T, int) or self.T < 1:
+            raise DomainError(f"T must be a positive integer, got {self.T!r}")
         if self.h:
             g = self.curve.genus
             cap = 2 * (g + 1) if self.curve.kind == "even" else 4 * g
@@ -109,19 +102,18 @@ def expand_single_integral(f_quot, chart, c0=Fraction(0)):
     dx-quotient has a pole but the differential does not (Weierstrass disks)
     expand fine; a genuine pole of the differential raises PoleError.
     """
-    integrand = (chart.laurent(f_quot) * chart.dx_dt).regular_part(
-        context=f"disk {chart.disk}"
-    )
-    return integrand.antiderivative(c0)
+    return _integrand(f_quot, chart).antiderivative(c0)
+
+
+def _integrand(f_quot, chart):
+    """(f_quot dx)/dt as a series on the chart's disk."""
+    return (chart.laurent(f_quot) * chart.dx_dt).regular_part(context=f"disk {chart.disk}")
 
 
 def expand_double_integral(f_i, f_j, chart, c_j=Fraction(0), c_ij=Fraction(0)):
     """Series J with dJ/dt = (f_i dx)/dt * I_j and J(0) = c_ij."""
     inner = expand_single_integral(f_j, chart, c_j)
-    outer = (chart.laurent(f_i) * chart.dx_dt).regular_part(
-        context=f"disk {chart.disk}"
-    )
-    return (outer * inner).antiderivative(c_ij)
+    return (_integrand(f_i, chart) * inner).antiderivative(c_ij)
 
 
 def expand_G(spec, chart):
@@ -134,9 +126,7 @@ def expand_G(spec, chart):
         outer = None
         row = spec.a_matrix[i]
         if any(row):
-            outer = (chart.laurent(spec.basis[i]) * chart.dx_dt).regular_part(
-                context=f"disk {chart.disk}"
-            )
+            outer = _integrand(spec.basis[i], chart)
         for j in range(n):
             if not row[j]:
                 continue
@@ -179,30 +169,62 @@ def certify_algebraic(F, candidate, chart, degree_bound=None):
 # -- spec files -------------------------------------------------------------------
 
 
-def _poly_from_strings(coeffs):
-    return Poly([Fraction(c) for c in coeffs])
+def _rational(c, what):
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise DomainError(f"{what}: {c!r} is not a rational number") from exc
 
 
-def _curve_function_from_pair(curve, data):
+def _rational_list(values, n, what):
+    """``values`` as a list of n Fractions; DomainError for any other shape."""
+    if not isinstance(values, (list, tuple)) or len(values) != n:
+        raise DomainError(f"{what} must be a list of length {n}")
+    return [_rational(c, what) for c in values]
+
+
+def _rational_matrix(rows, n, what):
+    if not isinstance(rows, (list, tuple)) or len(rows) != n:
+        raise DomainError(f"{what} must be {n} x {n} for this basis")
+    return [_rational_list(row, n, f"{what} row") for row in rows]
+
+
+def _json_object(value, what):
+    if not isinstance(value, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    return value
+
+
+def _poly_from_strings(coeffs, what):
+    if not isinstance(coeffs, list):
+        raise DomainError(f"{what} must be a list of rationals")
+    return Poly([_rational(c, what) for c in coeffs])
+
+
+def _curve_function_from_pair(curve, data, what):
     """{"a": [...], "b": [...]} as the polynomial pair a(x) + b(x) y."""
-    a = _poly_from_strings(data.get("a", []))
-    b = _poly_from_strings(data.get("b", []))
+    data = _json_object(data, what)
+    a = _poly_from_strings(data.get("a", []), f"{what} a")
+    b = _poly_from_strings(data.get("b", []), f"{what} b")
     return CurveFunction(curve, a, RationalFunc(b))
 
 
 def parse_spec_data(data):
-    """Build a ColemanSpec from a parsed JSON object."""
-    cdata = data["curve"]
-    curve = CurveModel(cdata["kind"], _poly_from_strings(cdata["f"]), genus=cdata.get("genus"))
-    h = _curve_function_from_pair(curve, data["h"]) if "h" in data else None
-    eta = _curve_function_from_pair(curve, data["eta"]) if "eta" in data else None
+    """Build a ColemanSpec from a parsed JSON object; DomainError on malformed input."""
+    data = _json_object(data, "spec")
+    cdata = _json_object(data["curve"], "curve")
+    curve = CurveModel(cdata["kind"], _poly_from_strings(cdata["f"], "curve f"), genus=cdata.get("genus"))
+    h = _curve_function_from_pair(curve, data["h"], "h") if "h" in data else None
+    eta = _curve_function_from_pair(curve, data["eta"], "eta") if "eta" in data else None
+    n = curve.basis_size
     constants = {}
-    n = basis_size(curve)
-    for key, val in data.get("constants", {}).items():
-        singles = [Fraction(c) for c in val.get("singles", ["0"] * n)]
-        doubles = [[Fraction(c) for c in row] for row in val.get("doubles", [["0"] * n] * n)]
-        eta_c = Fraction(val.get("eta", "0"))
-        constants[key] = DiskConstants(singles, doubles, eta_c)
+    for key, val in _json_object(data.get("constants", {}), "constants").items():
+        val = _json_object(val, f"constants {key}")
+        constants[key] = DiskConstants(
+            _rational_list(val.get("singles", ["0"] * n), n, f"constants {key} singles"),
+            _rational_matrix(val.get("doubles", [["0"] * n] * n), n, f"constants {key} doubles"),
+            _rational(val.get("eta", "0"), f"constants {key} eta"),
+        )
     return ColemanSpec(
         curve=curve,
         p=data["p"],

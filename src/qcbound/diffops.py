@@ -281,7 +281,7 @@ def annihilator_matrix(S, funcs, base="dx"):
         for n in S:
             c = Fraction(1, factorial(n))
             d = chain[n]
-            row.append(d.scale(c) if isinstance(d, TruncatedSeries) else d * c)
+            row.append(_scaled(d, c))
         rows.append(row)
     return rows
 
@@ -335,8 +335,13 @@ def build_annihilator(S, funcs, base="dx"):
     for i, (n_i, det_i) in enumerate(zip(S, minors)):
         scalar = Fraction(factorial(n_top), factorial(n_i))
         signed = scalar if i % 2 == 0 else -scalar
-        coeffs[n_i] = det_i.scale(signed) if isinstance(det_i, TruncatedSeries) else det_i * signed
+        coeffs[n_i] = _scaled(det_i, signed)
     return DifferentialOperator(coeffs, base=base)
+
+
+def _scaled(entry, c):
+    """c * entry for a series or an algebraic operator entry."""
+    return entry.scale(c) if isinstance(entry, TruncatedSeries) else entry * c
 
 
 def _zero_like(template):
@@ -397,33 +402,41 @@ def search_nice_S(funcs, p, N_max, chart=None):
     return pivots + [pivots[-1] + 1]
 
 
-def compose_with_base(D1, base):
+def compose_with_base(D1, base, chart=None):
     """D1 composed with one copy of the base derivation: D(F) = D1(base F).
 
     Matching bases shift the coefficient list.  A d/dx operator composed with
-    d/omega0 = y d/dx expands through Leibniz into a d/dx operator with
-    algebraic coefficients and leading coefficient g_N * y; its niceness must
-    be re-checked where y is not a unit (Weierstrass disks flag this).
+    d/omega0 = m d/dx expands through Leibniz into a d/dx operator with
+    leading coefficient g_N * m.  For algebraic coefficients m = y; the
+    result's niceness must be re-checked where y is not a unit (Weierstrass
+    disks flag this).  For series coefficients, which are already written in
+    a disk coordinate t (d/dx there means d/dt), pass the disk's chart:
+    m = V, the expansion of y / (dx/dt).
     """
     if base == D1.base:
         zero = _zero_like(D1.coeffs[-1])
         return DifferentialOperator([zero] + list(D1.coeffs), base=D1.base)
-    if D1.base == "dx" and base == "omega0":
-        if not D1.is_algebraic():
-            raise DomainError("mixed-base composition needs algebraic coefficients")
+    if D1.base != "dx" or base != "omega0":
+        raise DomainError("composition of a d/omega0 operator with d/dx is not supported")
+    if D1.is_algebraic():
         model = next(c.model for c in D1.coeffs if isinstance(c, CurveFunction))
-        y = CurveFunction.y(model)
-        y_chain = _derivation_chain(y, D1.order, "dx")
-        N = D1.order
-        out = [CurveFunction.const(model, 0)] * (N + 2)
-        for i, g in enumerate(D1.coeffs):
-            if _is_zero_coeff(g):
-                continue
-            for k in range(i + 1):
-                # (d/dx)^i (y F') contributes binom(i,k) y^(k) F^(i-k+1)
-                out[i - k + 1] = out[i - k + 1] + g * y_chain[k] * comb(i, k)
-        return DifferentialOperator(out, base="dx")
-    raise DomainError("composition of a d/omega0 operator with d/dx is not supported")
+        m = CurveFunction.y(model)
+    elif chart is not None:
+        m = (chart.y / chart.dx_dt).regular_part(context=f"disk {chart.disk}")
+    else:
+        raise DomainError("series coefficients need the chart of their disk")
+    m_chain = _derivation_chain(m, D1.order, "dx")
+    out = [None] * (D1.order + 2)
+    for i, g in enumerate(D1.coeffs):
+        if _is_zero_coeff(g):
+            continue
+        for k in range(i + 1):
+            # (d/dx)^i (m F') contributes binom(i,k) m^(k) F^(i-k+1)
+            term = _scaled(g * m_chain[k], comb(i, k))
+            out[i - k + 1] = term if out[i - k + 1] is None else out[i - k + 1] + term
+    # the nonzero leading g_N reaches every slot but the first
+    out[0] = _zero_like(D1.leading)
+    return DifferentialOperator(out, base="dx")
 
 
 def weierstrass_annihilator(model, p=None, T=None):
@@ -436,8 +449,7 @@ def weierstrass_annihilator(model, p=None, T=None):
     a zero reduction would contradict the unit lemma and raises a bug-trap
     error.
     """
-    g = model.genus
-    m = 2 * g + 1 if model.kind == "even" else 2 * g
+    m = model.basis_size
     funcs = []
     x = CurveFunction.x(model)
     cur = CurveFunction.const(model, 1)
@@ -466,8 +478,7 @@ def weierstrass_local_annihilator(chart):
     model = chart.model
     if chart.disk.kind != "affine_weierstrass":
         raise DomainError("local Weierstrass annihilator needs a Weierstrass chart")
-    g = model.genus
-    m = 2 * g + 1 if model.kind == "even" else 2 * g
+    m = model.basis_size
     funcs = []
     x_series = chart.expand(CurveFunction.x(model))
     cur = TruncatedSeries.from_polynomial([1], chart.T)

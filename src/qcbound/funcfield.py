@@ -29,11 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, NonUnitError, PoleError, PrecisionError
-from .hyperelliptic import DiskDescriptor, reduce_mod
+from .hyperelliptic import DiskDescriptor, _eval_mod, poly_mod, reduce_mod
 from .padics import as_prime, valuation
 from .polys import Poly, poly_gcd, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
-from .series import LaurentSeries, TruncatedSeries
+from .series import LaurentSeries, TruncatedSeries, poly_on_series
 
 
 class RationalFunc:
@@ -286,10 +286,10 @@ class CurveFunction:
         for part, ybar_factor in ((self.a, 1), (self.b, y_bar)):
             if not part:
                 continue
-            den = _eval_poly_mod(part.den, x_bar, p)
+            den = _eval_mod(poly_mod(part.den, p), x_bar, p)
             if den == 0:
                 raise PoleError(f"denominator vanishes at x = {x_bar} mod {p}")
-            num = _eval_poly_mod(part.num, x_bar, p)
+            num = _eval_mod(poly_mod(part.num, p), x_bar, p)
             out = (out + num * pow(den, -1, p) * ybar_factor) % p
         return out
 
@@ -297,13 +297,6 @@ class CurveFunction:
         if not self.b:
             return f"CurveFunction({self.a!r})"
         return f"CurveFunction({self.a!r} + ({self.b!r})*y)"
-
-
-def _eval_poly_mod(poly, x_bar, p):
-    acc = 0
-    for c in reversed(poly.coeffs):
-        acc = (acc * x_bar + reduce_mod(c, p)) % p
-    return acc
 
 
 # -- pole ledgers --------------------------------------------------------------
@@ -617,8 +610,8 @@ def weierstrass_chart(model, disk, p, T):
     # Newton for f(x(t)) = t^2; error order doubles each pass
     order = 1
     while order < T:
-        fx = _poly_on_series(model.f, x_series)
-        fpx = _poly_on_series(fprime, x_series)
+        fx = poly_on_series(model.f.coeffs, x_series)
+        fpx = poly_on_series(fprime.coeffs, x_series)
         x_series = x_series - (fx - t2) * fpx.inverse()
         order *= 2
     y_laurent = LaurentSeries(0, TruncatedSeries.from_polynomial([0, 1], T))
@@ -626,13 +619,6 @@ def weierstrass_chart(model, disk, p, T):
         model, disk, T, LaurentSeries(0, x_series), y_laurent,
         p=p, center=(x_w, Fraction(0)), description=f"t = y at x_w = {x_w}",
     )
-
-
-def _poly_on_series(poly, s):
-    acc = TruncatedSeries.zero(s.truncation)
-    for c in reversed(poly.coeffs):
-        acc = (acc * s).shift_add(c)
-    return acc
 
 
 def infinite_chart(model, label, T, p=None):
@@ -654,14 +640,18 @@ def infinite_chart(model, label, T, p=None):
         coeffs = model.f.coeffs
         deg = model.f.degree
         known = 0
+        top = deg - 1 - next(k for k, c in enumerate(coeffs) if c)   # highest power of 1/s in use
         while known < T:
             inv_s = s.inverse()
             acc = TruncatedSeries.from_polynomial([1], T)
+            inv_powers = [acc]      # inv_powers[e] = inv_s^e, each from the one before
+            for _ in range(top):
+                inv_powers.append(inv_powers[-1] * inv_s)
             for k in range(deg):
                 c = coeffs[k]
                 if not c:
                     continue
-                term = _series_power(inv_s, deg - 1 - k)
+                term = inv_powers[deg - 1 - k]
                 shift = TruncatedSeries.from_polynomial([0] * (2 * (deg - k)) + [1], T)
                 acc = acc - (term * shift).truncate(T).scale(c)
                 acc = acc.truncate(T)
@@ -671,17 +661,10 @@ def infinite_chart(model, label, T, p=None):
             s = s_new
             known += 2
         x_laurent = LaurentSeries(-2, s)
-        y_laurent = LaurentSeries(-(2 * g + 1), _series_power(s, g))
+        y_laurent = LaurentSeries(-(2 * g + 1), poly_on_series([0] * g + [1], s))
         desc = "t = x^g/y at infinity"
     disk = DiskDescriptor("infinite", label=label)
     return DiskChart(model, disk, T, x_laurent, y_laurent, p=p, description=desc)
-
-
-def _series_power(s, k):
-    acc = TruncatedSeries.from_polynomial([1], s.truncation)
-    for _ in range(k):
-        acc = acc * s
-    return acc
 
 
 def chart_for(model, disk, p, T):
@@ -693,11 +676,6 @@ def chart_for(model, disk, p, T):
     if disk.kind == "infinite":
         return infinite_chart(model, disk.label, T, p=p)
     raise DomainError(f"unknown disk kind {disk.kind!r}")
-
-
-def expand_at(F, chart):
-    """Regular series of F at the chart's disk (PoleError on poles)."""
-    return chart.expand(F)
 
 
 def default_truncation(genus):

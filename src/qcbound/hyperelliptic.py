@@ -15,6 +15,7 @@ from math import isqrt
 from .errors import DomainError, NormalizationError
 from .padics import as_prime, valuation
 from .polys import Poly, discriminant
+from .quadext import sqrt_mod_p
 
 
 class CurveModel:
@@ -51,6 +52,11 @@ class CurveModel:
     @property
     def degree(self):
         return self.f.degree
+
+    @property
+    def basis_size(self):
+        """Number of basis differentials x^i dx/y: 2g+1 on even models, 2g on odd ones."""
+        return 2 * self.genus + 1 if self.kind == "even" else 2 * self.genus
 
     def infinite_points(self):
         """Labels of the points at infinity (two sheets for even models)."""
@@ -98,14 +104,6 @@ def is_square_mod(a, p):
     if a == 0:
         return True
     return pow(a, (p - 1) // 2, p) == 1
-
-
-def sqrt_mod(a, p):
-    a %= p
-    r = next((s for s in range(p) if s * s % p == a), None)
-    if r is None:
-        raise DomainError(f"{a} is not a square mod {p}")
-    return r
 
 
 def has_smooth_reduction(curve, p):
@@ -173,7 +171,7 @@ def residue_disks(curve, p):
         if fx == 0:
             disks.append(DiskDescriptor("affine_weierstrass", x, 0))
         elif is_square_mod(fx, p):
-            y = sqrt_mod(fx, p)
+            y = sqrt_mod_p(fx, p)
             disks.append(DiskDescriptor("affine_nonweierstrass", x, y))
             disks.append(DiskDescriptor("affine_nonweierstrass", x, p - y))
     for label in curve.infinite_points():

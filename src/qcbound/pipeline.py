@@ -17,6 +17,10 @@ Operator selection mirrors the constructions the bounds are proved with:
   transformed constants, which require global reduction machinery); odd
   models exclude infinity (integral-point semantics).
 
+Both composed operators come from ``diffops.compose_with_base``: the
+non-Weierstrass one from algebraic coefficients, the Weierstrass one from
+series coefficients in the disk coordinate.
+
 The per-disk zero count N_b of the algebraic image F is the least index of
 minimal valuation of its expansion: by Weierstrass preparation this is the
 number of C_p zeros of F on the whole disk.  It is certified either against
@@ -47,7 +51,8 @@ from .funcfield import (
 )
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, kappa, valuation
-from .series import min_valuation_index
+from .polys import Poly
+from .series import lowest_valuation, min_valuation_index
 
 
 @dataclass
@@ -171,8 +176,7 @@ def nonweierstrass_candidate(spec):
     (d/dx)^q (y h'); an eta term contributes (d/dx)^q (y e).
     """
     C = spec.curve
-    g = C.genus
-    q = 2 * g + 1 if C.kind == "even" else 2 * g
+    q = C.basis_size
     # chains[j][m] = (d/dx)^m (x^j / y)
     n = len(spec.basis)
     chains = []
@@ -190,7 +194,7 @@ def nonweierstrass_candidate(spec):
             term = CurveFunction.const(C, 0)
             falling = 1
             for k in range(min(i, q - 1) + 1):
-                piece = CurveFunction(C, _x_power_poly(i - k)) * chains[j][q - k - 1]
+                piece = CurveFunction(C, Poly.x_power(i - k)) * chains[j][q - k - 1]
                 term = term + piece * (comb(q, k) * falling)
                 falling *= i - k
             out = out + term * a
@@ -207,12 +211,6 @@ def nonweierstrass_candidate(spec):
     return out
 
 
-def _x_power_poly(k):
-    from .polys import Poly
-
-    return Poly([0] * k + [1])
-
-
 def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
     """(n_b, method) for a certified-algebraic image on one disk."""
     try:
@@ -220,14 +218,7 @@ def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
     except PrecisionError:
         pass
     if degree_bound is not None and F_series.truncation > degree_bound:
-        best_i, best_v = None, INFINITY
-        if val is None:
-            val = lambda c: valuation(c, p)
-        for i, c in enumerate(F_series.coeffs):
-            if c:
-                v = val(c)
-                if v < best_v:
-                    best_i, best_v = i, v
+        best_i, _ = lowest_valuation(F_series, p, val=val)
         if best_i is not None and best_i <= degree_bound:
             return best_i, "reduction order (degree-certified)"
     if degree_bound is not None:
@@ -241,21 +232,20 @@ def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
 def _operator_for_affine(spec, disk):
     """(operator object or None, description, order, candidate or None)."""
     C = spec.curve
-    g = C.genus
     if uses_order2_shape(spec):
         D = DifferentialOperator(
             [CurveFunction.const(C, 0), CurveFunction.const(C, 0), CurveFunction.const(C, 1)],
             base="omega0",
         )
         return D, "(d/omega_0)^2", 2, order2_candidate(spec)
-    q = 2 * g + 1 if C.kind == "even" else 2 * g
+    q = C.basis_size
     if disk.kind == "affine_nonweierstrass":
         ddx_q = DifferentialOperator(
             [CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx"
         )
         D = compose_with_base(ddx_q, "omega0")
         return D, f"(d/dx)^{q} (d/omega_0)", q + 1, nonweierstrass_candidate(spec)
-    return None, "weierstrass divided-power annihilator (d/omega_0)", 2 * (2 * g + 1 if C.kind == "even" else 2 * g), None
+    return None, "weierstrass divided-power annihilator (d/omega_0)", 2 * q, None
 
 
 def _weierstrass_output_degree(curve):
@@ -265,36 +255,12 @@ def _weierstrass_output_degree(curve):
     return 8 * g**3 + 36 * g**2 - 38 * g + 13
 
 
-def _compose_local_with_omega0(D1, chart):
-    """Series-level D1 (d/dt coefficients) composed with d/omega_0 = V d/dt."""
-    V = ((chart.y * chart.dx_dt.inverse())).regular_part(context=f"disk {chart.disk}")
-    N = D1.order
-    v_chain = [V]
-    for _ in range(N):
-        v_chain.append(v_chain[-1].derivative())
-    out = [None] * (N + 2)
-    for m in range(1, N + 2):
-        acc = None
-        for k in range(m - 1, N + 1):
-            g_k = D1.coeffs[k]
-            if g_k.is_known_zero():
-                continue
-            term = (g_k * v_chain[k - m + 1]).scale(comb(k, m - 1))
-            acc = term if acc is None else acc + term
-        out[m] = acc
-    from .series import TruncatedSeries
-
-    T = min(c.truncation for c in out[1:] if c is not None)
-    zero = TruncatedSeries.zero(T)
-    return DifferentialOperator([zero] + [c if c is not None else zero for c in out[1:]], base="dx")
-
-
 def analyze_disk(spec, disk):
     """Full analysis of one residue disk; errors are captured, not raised."""
     C = spec.curve
     p = spec.p
     ana = DiskAnalysis(disk=disk)
-    floor = min(spec_input_floor(spec), 0)
+    floor = spec_input_floor(spec)
     try:
         if disk.kind == "infinite":
             return _analyze_infinite(spec, disk, ana)
@@ -321,7 +287,7 @@ def analyze_disk(spec, disk):
             )
         else:
             D1 = weierstrass_local_annihilator(chart)
-            D_full = _compose_local_with_omega0(D1, chart)
+            D_full = compose_with_base(D1, "omega0", chart)
             ana.order = D_full.order
             ana.nice = check_nice(D_full, p)
             DG = apply_series(D_full, G)
@@ -395,7 +361,7 @@ def run_pipeline(spec):
             if spec.curve.kind == "even"
             else "the infinite disk is excluded (integral points)"
         ),
-        spec_floor=min(spec_input_floor(spec), 0),
+        spec_floor=spec_input_floor(spec),
     )
 
 

@@ -11,7 +11,7 @@ hundred at most), so the dense representation is the right trade-off.
 from fractions import Fraction
 from math import gcd as int_gcd
 
-from .errors import DomainError, NonUnitError
+from .errors import DomainError
 
 
 def _trim(coeffs):
@@ -353,16 +353,3 @@ def rational_roots(f):
                     if not f(cand):
                         roots.append(cand)
     return sorted(roots)
-
-
-def poly_inverse_mod(a, m):
-    """Inverse of a modulo m in Q[x] (extended Euclid); error when not coprime."""
-    r0, r1 = m, a % m
-    s0, s1 = Poly(), Poly([1])
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise NonUnitError("element not invertible modulo the given polynomial")
-    return s0 * Poly([1 / r0.coeffs[0]]) % m

@@ -173,11 +173,7 @@ class TruncatedSeries:
         if inner.coeffs and inner.coeffs[0]:
             raise PoleError("composition requires a series of positive order")
         n = min(len(self.coeffs), len(inner.coeffs))
-        acc = TruncatedSeries.zero(n)
-        inner = inner.truncate(n)
-        for c in reversed(self.coeffs):
-            acc = (acc * inner).shift_add(c)
-        return acc
+        return poly_on_series(self.coeffs, inner.truncate(n))
 
     def sqrt_unit(self):
         """Square root of a series with constant term exactly 1."""
@@ -198,6 +194,18 @@ class TruncatedSeries:
                 shown.append(f"{c}*t^{i}" if i else f"{c}")
         body = " + ".join(shown) if shown else "0"
         return f"TruncatedSeries({body} + O(t^{len(self.coeffs)}))"
+
+
+def poly_on_series(coeffs, s):
+    """sum_k coeffs[k] s^k by Horner's rule, known to the truncation of s.
+
+    Takes one series product per coefficient below the leading one, so
+    ``poly_on_series([0] * k + [1], s)`` is s^k in k products.
+    """
+    acc = TruncatedSeries.from_polynomial(coeffs[-1:], s.truncation)
+    for c in reversed(coeffs[:-1]):
+        acc = (acc * s).shift_add(c)
+    return acc
 
 
 class LaurentSeries:
@@ -414,15 +422,9 @@ def zero_count_bound(F, p, floor_val, val=None):
     return slope_le_minus_one_length(newton_polygon(F, p, floor_val, val=val))
 
 
-def min_valuation_index(F, p, floor_val, val=None):
-    """Least index attaining the minimal coefficient valuation.
-
-    Certified when the minimum over the known coefficients is <= floor_val:
-    unknown tail coefficients (valuation >= floor_val, index >= T) can then
-    tie but never undercut or precede it.  For an algebraic function regular
-    on the disk this index equals the order of vanishing of the reduction,
-    hence the number of C_p zeros on the whole residue disk.
-    """
+def lowest_valuation(F, p, val=None):
+    """(least index of minimal valuation, that valuation) over the known
+    coefficients; (None, INFINITY) when they all vanish."""
     p = as_prime(p)
     if val is None:
         val = lambda c: valuation(c, p)
@@ -432,6 +434,19 @@ def min_valuation_index(F, p, floor_val, val=None):
             v = val(c)
             if v < best_v:
                 best_i, best_v = i, v
+    return best_i, best_v
+
+
+def min_valuation_index(F, p, floor_val, val=None):
+    """Least index attaining the minimal coefficient valuation.
+
+    Certified when the minimum over the known coefficients is <= floor_val:
+    unknown tail coefficients (valuation >= floor_val, index >= T) can then
+    tie but never undercut or precede it.  For an algebraic function regular
+    on the disk this index equals the order of vanishing of the reduction,
+    hence the number of C_p zeros on the whole residue disk.
+    """
+    best_i, best_v = lowest_valuation(F, p, val=val)
     if best_i is None:
         raise IndeterminatePolygonError(
             f"all known coefficients vanish to O(t^{F.truncation})",

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qcbound.cli import main
 
 
@@ -9,8 +11,8 @@ def write_curve(tmp_path, line, name="curve.txt"):
     return str(path)
 
 
-def elliptic_spec_file(tmp_path, f=("1", "1", "0", "1"), a="2", b="3", p=5, T=16):
-    data = {
+def elliptic_spec_data(f=("1", "1", "0", "1"), a="2", b="3", p=5, T=16):
+    return {
         "curve": {"kind": "odd", "genus": 1, "f": list(f)},
         "p": p,
         "T": T,
@@ -18,9 +20,16 @@ def elliptic_spec_file(tmp_path, f=("1", "1", "0", "1"), a="2", b="3", p=5, T=16
         "a_vector": ["0", "0"],
         "h": {"a": [b], "b": []},
     }
+
+
+def write_spec(tmp_path, data):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def elliptic_spec_file(tmp_path, **kwargs):
+    return write_spec(tmp_path, elliptic_spec_data(**kwargs))
 
 
 class TestCount:
@@ -172,6 +181,21 @@ class TestPipeline:
 
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["pipeline", "--spec", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {**elliptic_spec_data(), "a_matrix": 5},
+            {**elliptic_spec_data(), "h": {"a": 3}},
+            [elliptic_spec_data()],
+            {**elliptic_spec_data(), "T": "20"},
+            {**elliptic_spec_data(), "constants": {"(0,1)": {"singles": ["1"]}}},
+        ],
+        ids=["a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short"],
+    )
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, data):
+        assert main(["pipeline", "--spec", write_spec(tmp_path, data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_byte_stable(self, tmp_path, capsys):
         spec = elliptic_spec_file(tmp_path)

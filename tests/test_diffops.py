@@ -270,6 +270,25 @@ class TestCompose:
         two_step = apply_on_chart(D1, step.regular_part(), chart)
         assert direct.agrees_with(two_step, upto=min(direct.truncation, two_step.truncation))
 
+    def test_series_coefficients_compose_through_the_chart(self):
+        # at a Weierstrass disk d/omega0 = V d/dt with V = y / (dx/dt); the
+        # composed series operator applies D1 after V d/dt
+        C = genus2_even()
+        chart = weierstrass_chart(C, DiskDescriptor("affine_weierstrass", 0, 0), 7, 24)
+        D1 = weierstrass_local_annihilator(chart)
+        D = compose_with_base(D1, "omega0", chart)
+        assert D.base == "dx" and D.order == D1.order + 1
+        V = (chart.y / chart.dx_dt).regular_part()
+        F = chart.expand(CurveFunction(C, Poly.x_power(3)))
+        got = apply_series(D, F)
+        want = apply_series(D1, V * F.derivative())
+        assert not got.is_known_zero()
+        assert got.agrees_with(want, upto=min(got.truncation, want.truncation))
+
+    def test_series_coefficients_need_a_chart(self):
+        with pytest.raises(DomainError):
+            compose_with_base(DifferentialOperator([S([1], 6), S([0, 1], 6)]), "omega0")
+
 
 class TestDyBase:
     def test_dy_is_the_disk_derivation_at_weierstrass_charts(self):

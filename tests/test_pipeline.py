@@ -1,6 +1,9 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from qcbound import funcfield, pipeline
 from qcbound.coleman import ColemanSpec
 from qcbound.funcfield import CurveFunction, ledger_of
 from qcbound.hyperelliptic import CurveModel, count_points_fp
@@ -275,3 +278,16 @@ class TestEtaTerm:
         for a in result.analyses:
             if a.disk.kind == "affine_nonweierstrass":
                 assert a.certified is True
+
+
+class TestBenchmarkProbeTargets:
+    def test_traced_names_still_exist(self):
+        # the traced benchmark rebinds these names by string at run time, so a
+        # rename or deletion here would break it without any import error
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+        spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+        probes = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(probes)
+        for name, _ in probes.PIPELINE_CALLS:
+            assert callable(getattr(pipeline, name, None)), name
+        assert callable(getattr(funcfield, "poly_gcd", None))
