@@ -188,6 +188,8 @@ def cmd_analyze_disk(args):
             spec.T = args.T
         curve = spec.curve
     p = Prime(args.p)
+    if args.spec:
+        _require(int(p) == int(spec.p), f"--p {int(p)} differs from the spec's p = {int(spec.p)}")
     disk = parse_disk(args.disk, curve)
     disks = residue_disks(curve, p)
     _require(disk in disks, f"{args.disk} is not a residue disk of this curve mod {int(p)}")

@@ -202,12 +202,23 @@ def local_coefficients(D, chart):
     return out
 
 
-def check_nice(D, p, chart=None, disk=None):
+def regular_local_coefficients(D, chart):
+    """The regular parts of ``local_coefficients(D, chart)``.
+
+    This is the exact half of the niceness check: it does not depend on the
+    p-adic embedding, so two disks with the same chart series share it.
+    """
+    return [L.regular_part(context=f"disk {chart.disk}") for L in local_coefficients(D, chart)]
+
+
+def check_nice(D, p, chart=None, disk=None, local=None):
     """Niceness certificate for D at a disk (or for plain series coefficients).
 
     Without a chart the coefficients must already be series in the local
-    parameter with base 'dx'.  Failure carries the offending coefficient
-    index and valuation.
+    parameter with base 'dx'.  With a chart, ``local`` may pass the chart's
+    ``regular_local_coefficients(D, chart)`` when they are already known; the
+    valuations are always taken through the chart.  Failure carries the
+    offending coefficient index and valuation.
     """
     p = as_prime(p)
     if chart is None:
@@ -218,7 +229,7 @@ def check_nice(D, p, chart=None, disk=None):
         val = lambda c: valuation(c, p)
     else:
         disk = chart.disk
-        locs = [L.regular_part(context=f"disk {chart.disk}") for L in local_coefficients(D, chart)]
+        locs = local if local is not None else regular_local_coefficients(D, chart)
         val = chart.valuation_of
     integrality = None
     fail_idx = fail_val = None

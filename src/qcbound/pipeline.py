@@ -26,6 +26,23 @@ minimal valuation of its expansion: by Weierstrass preparation this is the
 number of C_p zeros of F on the whole disk.  It is certified either against
 the integrality floor of the inputs or against the polar-degree bound of the
 certified candidate (min S(F) never exceeds the polar degree).
+
+``run_pipeline`` plans each spec once (``SpecPlan``) before its disk loop:
+the input floor, the operator of each affine disk kind, the candidate image
+and the candidate's polar degree depend on the spec only.  A DomainError or
+PrecisionError raised while planning is kept and reported on each disk that
+needs the entry, at the step where that disk would have raised it.
+
+Within one run, two non-Weierstrass disks share their exact series when the
+chart centre (x0, sqrt d) lies in Q(sqrt d) and both the truncation T and
+``spec.constants_for(disk)`` agree.  That is the conjugate pair (x, y),
+(x, -y): both charts expand the same series and differ only in the p-adic
+embedding of sqrt d.  The pair computes once G, D(G), the algebraic
+certificate and the regular local coefficients of the niceness check.  Each
+disk still builds its own chart and, through its own embedding, takes the
+niceness valuation scan and the zero count.  Centres with a rational
+y0 = +-r give different series and share nothing.  The plan and the shared
+series live for one ``run_pipeline`` call only.
 """
 
 from dataclasses import dataclass
@@ -39,6 +56,7 @@ from .diffops import (
     apply_series,
     check_nice,
     compose_with_base,
+    regular_local_coefficients,
     weierstrass_local_annihilator,
 )
 from .errors import DomainError, PrecisionError
@@ -229,8 +247,9 @@ def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
     )
 
 
-def _operator_for_affine(spec, disk):
-    """(operator object or None, description, order, candidate or None)."""
+def _operator_for_affine(spec, kind):
+    """(operator object or None, description, order, candidate or None) for an
+    affine disk kind."""
     C = spec.curve
     if uses_order2_shape(spec):
         D = DifferentialOperator(
@@ -239,7 +258,7 @@ def _operator_for_affine(spec, disk):
         )
         return D, "(d/omega_0)^2", 2, order2_candidate(spec)
     q = C.basis_size
-    if disk.kind == "affine_nonweierstrass":
+    if kind == "affine_nonweierstrass":
         ddx_q = DifferentialOperator(
             [CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx"
         )
@@ -255,35 +274,117 @@ def _weierstrass_output_degree(curve):
     return 8 * g**3 + 36 * g**2 - 38 * g + 13
 
 
+def _attempt(build, *args):
+    """build(*args), or the DomainError or PrecisionError it raised."""
+    try:
+        return build(*args)
+    except (DomainError, PrecisionError) as exc:
+        return exc
+
+
+def _unwrap(outcome):
+    """The value kept by ``_attempt``; a kept error is raised again."""
+    if isinstance(outcome, (DomainError, PrecisionError)):
+        raise outcome.with_traceback(None)
+    return outcome
+
+
+class _OperatorPlan:
+    """The operator of one affine disk kind, its candidate and polar degree."""
+
+    def __init__(self, spec, kind):
+        self._operator = _attempt(_operator_for_affine, spec, kind)
+        candidate = None if isinstance(self._operator, Exception) else self._operator[3]
+        self._degree = _attempt(polar_degree, candidate) if candidate else None
+
+    def operator(self):
+        """(D or None, description, order, candidate or None)."""
+        return _unwrap(self._operator)
+
+    def degree(self):
+        """Polar degree of the (nonzero) candidate."""
+        return _unwrap(self._degree)
+
+
+class SpecPlan:
+    """Spec-level data built once and shared by the disks of one run.
+
+    Holds the input floor and one ``_OperatorPlan`` per affine disk kind among
+    ``disks`` (a single one for every affine disk on the order-2 shape), plus
+    the memo of exact series that a conjugate quadratic pair shares.
+    """
+
+    def __init__(self, spec, disks):
+        self.spec = spec
+        self.floor = spec_input_floor(spec)
+        kinds = sorted({d.kind for d in disks} - {"infinite"})
+        if uses_order2_shape(spec) and kinds:
+            self.operators = dict.fromkeys(kinds, _OperatorPlan(spec, kinds[0]))
+        else:
+            self.operators = {kind: _OperatorPlan(spec, kind) for kind in kinds}
+        self._pairs = {}
+
+    def exact_series(self, chart):
+        """Memo of the exact series on one disk's chart.
+
+        The memo is shared with the conjugate disk when the centre is
+        quadratic and T and the disk constants agree; it is dropped from the
+        plan once the second disk of the pair has taken it.  Any other chart
+        gets a fresh memo.
+        """
+        if chart.embedding is None:
+            return {}
+        c = self.spec.constants_for(chart.disk)
+        key = (chart.center, chart.T, tuple(c.singles), tuple(map(tuple, c.doubles)), c.eta)
+        memo = self._pairs.pop(key, None)
+        if memo is None:
+            memo = self._pairs[key] = {}
+        return memo
+
+
+def _once(memo, name, compute, *args):
+    """memo[name], computed as compute(*args) the first time."""
+    if name not in memo:
+        memo[name] = compute(*args)
+    return memo[name]
+
+
 def analyze_disk(spec, disk):
-    """Full analysis of one residue disk; errors are captured, not raised."""
+    """Full analysis of one residue disk; errors are captured, not raised.
+
+    ``spec`` is a ColemanSpec, or the SpecPlan of a run that covers ``disk``.
+    """
+    plan = spec if isinstance(spec, SpecPlan) else SpecPlan(spec, [disk])
+    spec = plan.spec
     C = spec.curve
     p = spec.p
     ana = DiskAnalysis(disk=disk)
-    floor = spec_input_floor(spec)
     try:
         if disk.kind == "infinite":
             return _analyze_infinite(spec, disk, ana)
         chart = chart_for(C, disk, p, spec.T)
         ana.parameter = chart.description
         ana.lift = str(chart.center)
-        D, desc, order, candidate = _operator_for_affine(spec, disk)
+        planned = plan.operators[disk.kind]
+        D, desc, order, candidate = planned.operator()
         ana.operator, ana.order = desc, order
-        G = expand_G(spec, chart)
+        exact = plan.exact_series(chart)
+        G = _once(exact, "G", expand_G, spec, chart)
         if D is not None:
             if not candidate:
                 ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
                 return ana
-            ana.nice = check_nice(D, p, chart=chart)
-            DG = apply_on_chart(D, G, chart)
+            local = _once(exact, "local", regular_local_coefficients, D, chart)
+            ana.nice = check_nice(D, p, chart=chart, local=local)
+            DG = _once(exact, "DG", apply_on_chart, D, G, chart)
             ana.dg_candidate = candidate
-            degree = polar_degree(candidate)
-            ana.certified = certify_algebraic(DG, candidate, chart, degree_bound=None)
+            degree = planned.degree()
+            ana.certified = _once(exact, "certified", certify_algebraic, DG, candidate, chart)
             if not ana.certified:
                 ana.error = "algebraic certification failed"
                 return ana
             ana.n_b, ana.n_b_method = algebraic_zero_count(
-                DG, p, floor, degree, val=chart.valuation_of
+                DG, p, plan.floor, degree, val=chart.valuation_of
             )
         else:
             D1 = weierstrass_local_annihilator(chart)
@@ -293,7 +394,7 @@ def analyze_disk(spec, disk):
             DG = apply_series(D_full, G)
             degree = _weierstrass_output_degree(C)
             ana.certified = None   # candidate not materialized at this order
-            ana.n_b, ana.n_b_method = algebraic_zero_count(DG, p, floor, degree)
+            ana.n_b, ana.n_b_method = algebraic_zero_count(DG, p, plan.floor, degree)
         if ana.nice is not None and not ana.nice.ok:
             ana.error = (
                 f"operator not nice: coefficient {ana.nice.failure_index} has "
@@ -329,8 +430,10 @@ def _analyze_infinite(spec, disk, ana):
 
 
 def run_pipeline(spec):
-    """Analyze every residue disk; per-disk failures are collected."""
+    """Analyze every residue disk of one spec, planned once; per-disk failures
+    are collected."""
     disks = residue_disks(spec.curve, spec.p)
+    plan = SpecPlan(spec, disks)
     analyses = []
     infinite_done = False
     for disk in disks:
@@ -349,7 +452,7 @@ def run_pipeline(spec):
                 analyses.append(twin)
                 continue
             infinite_done = True
-        analyses.append(analyze_disk(spec, disk))
+        analyses.append(analyze_disk(plan, disk))
     total = None
     if all(a.ok and a.bound is not None for a in analyses):
         total = sum(a.bound for a in analyses)
@@ -361,7 +464,7 @@ def run_pipeline(spec):
             if spec.curve.kind == "even"
             else "the infinite disk is excluded (integral points)"
         ),
-        spec_floor=spec_input_floor(spec),
+        spec_floor=plan.floor,
     )
 
 

@@ -197,6 +197,15 @@ class TestPipeline:
         assert main(["pipeline", "--spec", write_spec(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("disk", ["0,1", "2,5"])
+    def test_analyze_disk_prime_mismatch_exit_2(self, tmp_path, capsys, disk):
+        # the spec is at p = 5; both are residue disks mod 7 only
+        spec = elliptic_spec_file(tmp_path, p=5)
+        assert main(["analyze-disk", "--spec", spec, "--p", "7", "--disk", disk]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "p = 5" in captured.err
+        assert captured.out == ""
+
     def test_byte_stable(self, tmp_path, capsys):
         spec = elliptic_spec_file(tmp_path)
         main(["pipeline", "--spec", spec])

@@ -1,14 +1,20 @@
 import importlib.util
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from qcbound import funcfield, pipeline
-from qcbound.coleman import ColemanSpec
+from qcbound.coleman import ColemanSpec, DiskConstants
+from qcbound.errors import PrecisionError
 from qcbound.funcfield import CurveFunction, ledger_of
 from qcbound.hyperelliptic import CurveModel, count_points_fp
 from qcbound.padics import kappa
 from qcbound.pipeline import (
+    PipelineResult,
+    analyze_disk,
     nonweierstrass_candidate,
     order2_candidate,
     polar_degree,
@@ -40,6 +46,39 @@ def genus2_even_spec(seed=0, p=7, T=None):
     v = [Fraction(rng.randint(-4, 4)) for _ in range(n)]
     h = CurveFunction(C, Poly([rng.randint(-3, 3) for _ in range(C.genus + 2)]))
     return ColemanSpec(curve=C, p=p, a_matrix=a, a_vector=v, h=h, T=T)
+
+
+def even_quartic_eta_spec(constants=None):
+    """y^2 = x^4 + x + 2 at p = 7 with eta = x^3/y; three conjugate quadratic
+    pairs, above x = 0, 3 and 6."""
+    C = CurveModel("even", [2, 1, 0, 0, 1])
+    n = C.basis_size
+    return ColemanSpec(
+        curve=C, p=7,
+        a_matrix=[[Fraction(1) if (i, j) == (0, 1) else Fraction(0) for j in range(n)] for i in range(n)],
+        a_vector=[Fraction(0)] * n,
+        eta=CurveFunction.x_power_over_y(C, 3),
+        T=24,
+        constants=constants or {},
+    )
+
+
+def affine_json_in_run_and_standalone(spec, result):
+    """The affine disks' JSON entries from a run, and from standalone
+    analyze_disk(spec, disk) calls on the same disks."""
+    affine = [a.disk for a in result.analyses if a.disk.kind != "infinite"]
+    in_run = [d for d in result_to_json(result)["disks"] if d["kind"] != "infinite"]
+    standalone = [result_to_json(PipelineResult([analyze_disk(spec, disk)]))["disks"][0]
+                  for disk in affine]
+    return in_run, standalone
+
+
+def perfbench_probes():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
+    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
+    probes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probes)
+    return probes
 
 
 class TestShapes:
@@ -280,14 +319,79 @@ class TestEtaTerm:
                 assert a.certified is True
 
 
+class TestSpecPlan:
+    def test_spec_level_work_runs_once_per_run(self, monkeypatch):
+        calls = Counter()
+        for name in ("nonweierstrass_candidate", "polar_degree"):
+            def counted(*args, _fn=getattr(pipeline, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        spec = even_quartic_eta_spec()
+        for runs in (1, 2):
+            assert run_pipeline(spec).ok
+            assert calls == {"nonweierstrass_candidate": runs, "polar_degree": runs}
+
+    @pytest.mark.parametrize(
+        "make_spec, shared_pairs",
+        [
+            (lambda: elliptic_spec([1, 1, 0, 1]), 3),
+            (even_quartic_eta_spec, 3),
+            # constants on (0,3) but not on its conjugate (0,4): that pair must not share
+            (lambda: even_quartic_eta_spec({"(0,3)": DiskConstants(
+                [Fraction(1), Fraction(-1, 2), Fraction(3)],
+                [[Fraction(i - j) for j in range(3)] for i in range(3)],
+                Fraction(2),
+            )}), 2),
+        ],
+        ids=["odd_p5", "even_eta_p7", "even_eta_p7_one_sided_constants"],
+    )
+    def test_shared_pairs_match_standalone_disks(self, monkeypatch, make_spec, shared_pairs):
+        spec = make_spec()
+        expansions = Counter()
+        expand_G = pipeline.expand_G
+
+        def counted_expand_G(spec, chart):
+            expansions[str(chart.disk)] += 1
+            return expand_G(spec, chart)
+
+        monkeypatch.setattr(pipeline, "expand_G", counted_expand_G)
+        result = run_pipeline(spec)
+        affine = [a for a in result.analyses if a.disk.kind != "infinite"]
+        assert sum(expansions.values()) == len(affine) - shared_pairs
+        in_run, standalone = affine_json_in_run_and_standalone(spec, result)
+        assert in_run == standalone
+
+    @pytest.mark.parametrize("name", ["nonweierstrass_candidate", "polar_degree"])
+    def test_planning_error_reported_on_each_disk(self, monkeypatch, name):
+        def failing(*args):
+            raise PrecisionError("planned entry needs more terms", needed=99)
+
+        monkeypatch.setattr(pipeline, name, failing)
+        spec = even_quartic_eta_spec()
+        result = run_pipeline(spec)
+        nw = [a for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
+        assert nw and all(a.error == "insufficient precision: planned entry needs more terms"
+                          and a.needed_T == 99 for a in nw)
+        in_run, standalone = affine_json_in_run_and_standalone(spec, result)
+        assert in_run == standalone
+
+
 class TestBenchmarkProbeTargets:
     def test_traced_names_still_exist(self):
         # the traced benchmark rebinds these names by string at run time, so a
         # rename or deletion here would break it without any import error
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
-        spec = importlib.util.spec_from_file_location("perfbench_probes", path)
-        probes = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(probes)
+        probes = perfbench_probes()
         for name, _ in probes.PIPELINE_CALLS:
             assert callable(getattr(pipeline, name, None)), name
         assert callable(getattr(funcfield, "poly_gcd", None))
+
+    def test_disk_timer_sees_every_analysed_disk(self, monkeypatch):
+        # the benchmark's disk_s_max comes from this wrapper; a run that went
+        # round the module global would leave it reading 0 without an error
+        monkeypatch.setattr(pipeline, "analyze_disk", pipeline.analyze_disk)   # restored afterwards
+        timer = perfbench_probes().DiskTimer(pipeline)
+        result = run_pipeline(even_quartic_eta_spec())
+        analysed = [str(a.disk) for a in result.analyses if "counted jointly" not in a.n_b_method]
+        assert [sample[1] for sample in timer.samples] == analysed
