@@ -86,6 +86,14 @@ def _require(condition, message):
         raise DomainError(message)
 
 
+def _truncation(args, default):
+    """The --T option when given (it must be a positive integer), else default."""
+    if args.T is None:
+        return default
+    _require(args.T >= 1, f"--T must be a positive integer, got {args.T}")
+    return args.T
+
+
 def cmd_bound(args):
     curve = curve_from_args(args)
     g = curve.genus
@@ -144,6 +152,7 @@ def cmd_operator(args):
     curve = curve_from_args(args)
     p = Prime(args.p)
     _require(has_smooth_reduction(curve, p), f"bad reduction at {int(p)}")
+    T = _truncation(args, default_truncation(curve.genus))
     q = curve.basis_size
     print(f"non-Weierstrass disks: D = (d/dx)^{q} (d/omega_0), order {q + 1}")
     D1 = weierstrass_annihilator(curve, p=p)
@@ -152,7 +161,6 @@ def cmd_operator(args):
     wdisks = [d for d in residue_disks(curve, p) if d.kind == "affine_weierstrass"]
     if not wdisks:
         print("no affine Weierstrass disks at this prime")
-    T = args.T or default_truncation(curve.genus)
     for disk in wdisks:
         lead_val = D1.leading.value_mod_p(disk.x_bar, 0, p)
         line = f"disk {disk}: det(B) = {lead_val} mod {int(p)} (unit)" if lead_val else f"disk {disk}: det(B) = 0"
@@ -184,8 +192,7 @@ def cmd_analyze_disk(args):
     curve = curve_from_args(args) if not args.spec else None
     if args.spec:
         spec = load_spec_file(args.spec)
-        if args.T:
-            spec.T = args.T
+        spec.T = _truncation(args, spec.T)
         curve = spec.curve
     p = Prime(args.p)
     if args.spec:
@@ -208,7 +215,7 @@ def cmd_analyze_disk(args):
             return 1
         print(f"  N_b = {ana.n_b} ({ana.n_b_method}); per-disk bound {ana.bound}")
         return 0
-    T = args.T or default_truncation(curve.genus)
+    T = _truncation(args, default_truncation(curve.genus))
     chart = chart_for(curve, disk, p, T)
     print(f"disk {disk} [{disk.kind}]")
     print(f"  parameter: {chart.description}")
@@ -219,8 +226,7 @@ def cmd_analyze_disk(args):
 
 def cmd_pipeline(args):
     spec = load_spec_file(args.spec)
-    if args.T:
-        spec.T = args.T
+    spec.T = _truncation(args, spec.T)
     result = run_pipeline(spec)
     print(f"pipeline: {spec.curve.kind} model, genus {spec.curve.genus}, p = {int(spec.p)}, T = {spec.T}")
     header = f"{'disk':<12}{'kind':<24}{'order':>6}{'N_b':>6}{'bound':>7}  notes"

@@ -1,7 +1,13 @@
 """Dense univariate polynomials over the exact rationals.
 
 Coefficients are ``fractions.Fraction`` stored lowest-degree first with no
-trailing zeros; the zero polynomial has an empty coefficient tuple.  The gcd
+trailing zeros; the zero polynomial has an empty coefficient tuple.
+
+Products go through one exact integer kernel, shared with the series module:
+``common_denominator`` writes each factor as an integer list over its least
+common denominator, ``convolve`` multiplies the two lists with a single
+Kronecker-substitution integer product, and each output coefficient becomes
+one ``Fraction``, which is normalised to lowest terms on construction.  The gcd
 runs over primitive integer parts with a subresultant remainder sequence, so
 intermediate coefficients stay integral; resultants go through a fraction-free
 Bareiss elimination of the Sylvester matrix.  Degrees stay small here (a few
@@ -9,7 +15,7 @@ hundred at most), so the dense representation is the right trade-off.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
 
 from .errors import DomainError
 
@@ -101,13 +107,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return Poly(out)
+        return Poly(rational_convolve(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -207,6 +207,57 @@ def _coerce(other):
     return NotImplemented
 
 
+# -- the exact integer product kernel -----------------------------------------
+
+
+def common_denominator(coeffs):
+    """(L, ints) with L the least common denominator and coeffs[i] = ints[i] / L."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def convolve(a, b, n):
+    """First n coefficients of the product of two signed integer lists.
+
+    Kronecker substitution: each list is packed into one integer with a slot
+    wide enough for any coefficient of the product (largest bit lengths of
+    both lists, plus the bit length of the number of terms summed, plus a
+    sign bit), the two integers are multiplied once, and the slots are read
+    back lowest first, a negative slot borrowing one from the next.
+    """
+    a, b = a[:n], b[:n]
+    if not a or not b:
+        return [0] * n
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    width = (bits + 7) // 8
+    m = min(n, len(a) + len(b) - 1)
+    product = _pack(a, width) * _pack(b, width)
+    slots = (product & ((1 << (8 * width * m)) - 1)).to_bytes(width * m, "little")
+    half, full = 1 << (8 * width - 1), 1 << (8 * width)
+    out, borrow = [], 0
+    for k in range(0, width * m, width):
+        c = int.from_bytes(slots[k:k + width], "little") + borrow
+        borrow = c >= half
+        out.append(c - full if borrow else c)
+    return out + [0] * (n - m)
+
+
+def rational_convolve(a, b, n):
+    """First n coefficients of the product of two lists of rationals, as Fractions."""
+    la, ia = common_denominator(a)
+    lb, ib = common_denominator(b)
+    den = la * lb
+    return [Fraction(c, den) for c in convolve(ia, ib, n)]
+
+
+def _pack(ints, width):
+    """sum ints[i] * 2^(8 * width * i), from one byte string per sign."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in ints)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 # -- integer helpers for the subresultant gcd --------------------------------
 
 
@@ -214,10 +265,7 @@ def _to_primitive_int(p):
     """Return (content, integer coefficient list) with the list primitive."""
     if not p:
         return Fraction(0), []
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
+    den, ints = common_denominator(p.coeffs)
     cont = 0
     for c in ints:
         cont = int_gcd(cont, abs(c))

@@ -3,10 +3,20 @@
 A ``TruncatedSeries`` stores exact coefficients c_0 .. c_{T-1} and means "the
 series is known modulo t^T".  Arithmetic tracks precision: sums and products
 hold the minimum of the operand truncations, differentiation loses one order,
-formal integration gains one.  Coefficients are usually ``Fraction`` but any
-field element with arithmetic dunders works (``quadext.QuadExt`` in
-particular); valuation-dependent operations take a valuation callable for
-that reason.
+formal integration gains one.  Coefficients are ``Fraction`` (an ``int`` is
+read as one) or ``quadext.QuadExt``; valuation-dependent operations take a
+valuation callable for that reason.
+
+Products and inverses run on integers.  A product writes each factor over its
+least common denominator (a Q(sqrt d) factor as two integer lists, rational
+and sqrt(d) parts) and takes one ``polys.convolve`` per integer product;
+(u + v sqrt d)(u' + v' sqrt d) = (uu' + d vv') + (uv' + vu') sqrt d takes
+three.  Coefficient k of a product is a ``QuadExt`` exactly when some nonzero
+pair a_i, b_(k-i) has a ``QuadExt`` factor.  An inverse runs the recurrence
+1/S = sum_m W_m t^m / S_0^(m+1), W_0 = 1, W_m = -sum_k S_k S_0^(k-1) W_(m-k),
+on the integer numerators S of a rational series, and 1/s = conj(s) /
+(s conj(s)) over Q(sqrt d), where s conj(s) is rational.  Every coefficient
+that comes back is a normalised ``Fraction`` or a ``QuadExt`` of two.
 
 Newton polygons are lower convex hulls of the points (i, v(c_i)).  Because
 only finitely many coefficients are known, the slope <= -1 part of the hull
@@ -19,14 +29,18 @@ floor_val = INFINITY.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
+    DomainError,
     IndeterminatePolygonError,
     NonUnitError,
     PoleError,
     PrecisionError,
 )
 from .padics import INFINITY, as_prime, kappa, valuation
+from .polys import common_denominator, convolve, rational_convolve
+from .quadext import QuadExt
 
 
 class TruncatedSeries:
@@ -117,17 +131,7 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         n = min(len(self.coeffs), len(other.coeffs))
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * n
-        for i in range(n):
-            ca = a[i]
-            if not ca:
-                continue
-            for j in range(n - i):
-                cb = b[j]
-                if cb:
-                    out[i + j] = out[i + j] + ca * cb
-        return TruncatedSeries(out)
+        return TruncatedSeries(_product(self.coeffs, other.coeffs, n))
 
     def scale(self, c):
         """Scalar multiple; c may be int, Fraction, or a QuadExt element."""
@@ -155,18 +159,20 @@ class TruncatedSeries:
         """Multiplicative inverse; requires a nonzero constant term."""
         if not self.coeffs:
             raise PrecisionError("cannot invert a precision-0 series", needed=1)
-        c0 = self.coeffs[0]
-        if not c0:
+        coeffs = self.coeffs
+        if not coeffs[0]:
             raise NonUnitError("series with zero constant term is not invertible")
-        inv0 = 1 / c0
-        out = [inv0]
-        for n in range(1, len(self.coeffs)):
-            acc = None
-            for k in range(1, n + 1):
-                t = self.coeffs[k] * out[n - k]
-                acc = t if acc is None else acc + t
-            out.append(-inv0 * acc)
-        return TruncatedSeries(out)
+        first = next((i for i, c in enumerate(coeffs) if isinstance(c, QuadExt)), None)
+        if first is None:
+            return TruncatedSeries(_rational_inverse(coeffs))
+        # 1/s = conj(s) / (s * conj(s)), and s * conj(s) has rational coefficients
+        conj = [c.conjugate() if isinstance(c, QuadExt) else c for c in coeffs]
+        norm = [c.u if isinstance(c, QuadExt) else c for c in _product(coeffs, conj, len(coeffs))]
+        out = _product(conj, _rational_inverse(norm), len(coeffs))
+        # coefficient k lies in Q(sqrt d) once some c_i with i <= k does
+        d = coeffs[first].d
+        return TruncatedSeries(out[:first] + [c if isinstance(c, QuadExt) else QuadExt(c, 0, d)
+                                              for c in out[first:]])
 
     def compose(self, inner):
         """self(inner(t)); inner must have zero constant term."""
@@ -194,6 +200,79 @@ class TruncatedSeries:
                 shown.append(f"{c}*t^{i}" if i else f"{c}")
         body = " + ".join(shown) if shown else "0"
         return f"TruncatedSeries({body} + O(t^{len(self.coeffs)}))"
+
+
+def _product(a, b, n):
+    """First n coefficients of the product of two coefficient sequences.
+
+    Coefficient k is a QuadExt exactly when some nonzero pair a_i, b_(k-i)
+    has a QuadExt factor, and a Fraction otherwise.
+    """
+    a, b = a[:n], b[:n]
+    quad_a = [i for i, c in enumerate(a) if isinstance(c, QuadExt)]
+    quad_b = [j for j, c in enumerate(b) if isinstance(c, QuadExt)]
+    if not quad_a and not quad_b:
+        return rational_convolve(a, b, n)
+    fields = {a[i].d for i in quad_a} | {b[j].d for j in quad_b}
+    if len(fields) > 1:
+        raise DomainError("product of series over distinct quadratic extensions")
+    d = fields.pop()
+    la, ua, va = _split(a)
+    lb, ub, vb = _split(b)
+    den = u_den = la * lb
+    uu = convolve(ua, ub, n)
+    if any(va) and any(vb):
+        vv = convolve(va, vb, n)
+        # Karatsuba: u_a v_b + v_a u_b = (u_a + v_a)(u_b + v_b) - u_a u_b - v_a v_b
+        mixed = convolve(list(map(sum, zip(ua, va))), list(map(sum, zip(ub, vb))), n)
+        uv = [m - x - y for m, x, y in zip(mixed, uu, vv)]
+        uu = [d.denominator * x + d.numerator * y for x, y in zip(uu, vv)]
+        u_den *= d.denominator
+    else:
+        uv = convolve(va, ub, n) if any(va) else convolve(ua, vb, n)
+    # bit k of quad: some nonzero pair a_i, b_(k-i) with a QuadExt factor
+    nonzero_a = sum(1 << i for i, c in enumerate(a) if c)
+    nonzero_b = sum(1 << j for j, c in enumerate(b) if c)
+    quad = 0
+    for i in quad_a:
+        if a[i]:
+            quad |= nonzero_b << i
+    for j in quad_b:
+        if b[j]:
+            quad |= nonzero_a << j
+    return [QuadExt(Fraction(x, u_den), Fraction(y, den), d) if quad >> k & 1
+            else Fraction(x, u_den) for k, (x, y) in enumerate(zip(uu, uv))]
+
+
+def _split(coeffs):
+    """(L, u, v) with coeffs[i] = (u[i] + v[i] sqrt d) / L in integers."""
+    parts = [(c.u, c.v) if isinstance(c, QuadExt) else (c, 0) for c in coeffs]
+    den, ints = common_denominator([u for u, _ in parts] + [v for _, v in parts])
+    return den, ints[:len(coeffs)], ints[len(coeffs):]
+
+
+def _rational_inverse(coeffs):
+    """Coefficients of 1/s for a rational series s with s_0 != 0.
+
+    With s = S/L in integers, 1/S has coefficients W_m / S_0^(m+1), where
+    W_0 = 1 and W_m = -sum_(k=1..m) S_k S_0^(k-1) W_(m-k).
+    """
+    den, ints = common_denominator(coeffs)
+    s0 = ints[0]
+    scaled = [0]
+    power = 1
+    for c in ints[1:]:
+        scaled.append(c * power)
+        power *= s0
+    w = [1]
+    for m in range(1, len(ints)):
+        w.append(-sum(map(mul, scaled[1:m + 1], reversed(w))))
+    out = []
+    power = s0
+    for x in w:
+        out.append(Fraction(den * x, power))
+        power *= s0
+    return out
 
 
 def poly_on_series(coeffs, s):

@@ -160,6 +160,29 @@ class TestAnalyzeDisk:
         assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "inf+"]) == 2
 
 
+class TestTruncationOption:
+    @pytest.mark.parametrize("T", ["0", "-2", "-5"])
+    @pytest.mark.parametrize("command", ["operator", "analyze-disk", "analyze-disk-spec", "pipeline"])
+    def test_nonpositive_T_exit_2(self, tmp_path, capsys, command, T):
+        curve = write_curve(tmp_path, "odd 1 1 1 0 1")
+        spec = elliptic_spec_file(tmp_path)
+        argv = {
+            "operator": ["operator", "--curve", curve, "--p", "5"],
+            "analyze-disk": ["analyze-disk", "--curve", curve, "--p", "5", "--disk", "0,1"],
+            "analyze-disk-spec": ["analyze-disk", "--spec", spec, "--p", "5", "--disk", "0,1"],
+            "pipeline": ["pipeline", "--spec", spec],
+        }[command]
+        assert main(argv + ["--T", T]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "--T" in captured.err
+        assert captured.out == ""
+
+    def test_positive_T_is_used(self, tmp_path, capsys):
+        curve = write_curve(tmp_path, "odd 1 1 1 0 1")
+        assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "0,1", "--T", "1"]) == 0
+        assert "truncation: 1" in capsys.readouterr().out
+
+
 class TestPipeline:
     def test_elliptic_run(self, tmp_path, capsys):
         spec = elliptic_spec_file(tmp_path)

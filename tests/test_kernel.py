@@ -1,0 +1,184 @@
+"""Property tests for the exact integer product kernel.
+
+The coefficient-by-coefficient loops the kernel replaced are kept here as the
+reference: every product and inverse must agree with them in value and, for
+series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.
+"""
+
+from fractions import Fraction
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcbound.errors import DomainError
+from qcbound.polys import Poly, common_denominator, convolve
+from qcbound.quadext import QuadExt
+from qcbound.series import TruncatedSeries
+
+KERNEL = settings(max_examples=150, deadline=None)
+
+
+# -- reference loops ------------------------------------------------------------
+
+
+def naive_convolve(a, b, n):
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b)) for k in range(n)]
+
+
+def reference_poly_mul(a, b):
+    if not a or not b:
+        return Poly()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return Poly(out)
+
+
+def reference_series_mul(a, b):
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        ca = a[i]
+        if not ca:
+            continue
+        for j in range(n - i):
+            cb = b[j]
+            if cb:
+                out[i + j] = out[i + j] + ca * cb
+    return out
+
+
+def reference_inverse(coeffs):
+    inv0 = 1 / coeffs[0]
+    out = [inv0]
+    for n in range(1, len(coeffs)):
+        acc = None
+        for k in range(1, n + 1):
+            t = coeffs[k] * out[n - k]
+            acc = t if acc is None else acc + t
+        out.append(-inv0 * acc)
+    return out
+
+
+def kinds(coeffs):
+    """Coefficient types, with the field of each QuadExt."""
+    return [(type(c), c.d if isinstance(c, QuadExt) else None) for c in coeffs]
+
+
+# -- strategies -----------------------------------------------------------------
+
+big_ints = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 200), 2 ** 200))
+rationals = st.builds(Fraction, st.integers(-(10 ** 30), 10 ** 30), st.integers(1, 10 ** 12))
+small_rationals = st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)))
+FIELDS = [Fraction(2), Fraction(6), Fraction(60), Fraction(5, 3)]
+
+
+def quadratic_coefficients(d):
+    """Fractions mixed with elements of Q(sqrt d), zero and v = 0 ones included."""
+    return st.one_of(
+        small_rationals,
+        st.builds(QuadExt, small_rationals, small_rationals, st.just(d)),
+        st.builds(QuadExt, small_rationals, st.just(0), st.just(d)),
+        st.just(QuadExt(0, 0, d)),
+    )
+
+
+@st.composite
+def quadratic_pairs(draw):
+    d = draw(st.sampled_from(FIELDS))
+    coeffs = st.lists(quadratic_coefficients(d), max_size=10)
+    return draw(coeffs), draw(coeffs)
+
+
+@st.composite
+def unit_series(draw, quadratic):
+    """Coefficient lists with a nonzero constant term."""
+    if quadratic:
+        coeffs = quadratic_coefficients(draw(st.sampled_from(FIELDS)))
+    else:
+        coeffs = small_rationals
+    out = draw(st.lists(coeffs, min_size=1, max_size=10))
+    if not out[0]:
+        out[0] = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return out
+
+
+# -- the integer kernel ---------------------------------------------------------
+
+
+class TestConvolve:
+    @KERNEL
+    @given(st.lists(big_ints, max_size=12), st.lists(big_ints, max_size=12), st.integers(0, 26))
+    def test_matches_naive_convolution(self, a, b, n):
+        assert convolve(a, b, n) == naive_convolve(a, b, n)
+
+    def test_signs_zeros_and_borrows(self):
+        # slots that are exactly -1 or 0 after a borrow exercise the carry chain
+        a, b = [-1, 0, 0, 1, -(2 ** 64)], [1, 1, 0, -1]
+        assert convolve(a, b, 8) == naive_convolve(a, b, 8)
+        assert convolve([0, 0], [5, -7], 3) == [0, 0, 0]
+        assert convolve([], [1, 2], 2) == [0, 0]
+        assert convolve([3], [4], 0) == []
+
+    @KERNEL
+    @given(st.lists(rationals, min_size=1, max_size=12))
+    def test_common_denominator(self, coeffs):
+        den, ints = common_denominator(coeffs)
+        assert den == lcm(*(c.denominator for c in coeffs))
+        assert [Fraction(c, den) for c in ints] == coeffs
+
+
+class TestPolyProduct:
+    @KERNEL
+    @given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10))
+    def test_matches_reference(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        product = pa * pb
+        assert product == reference_poly_mul(pa.coeffs, pb.coeffs)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
+
+class TestSeriesProduct:
+    @KERNEL
+    @given(st.lists(rationals, max_size=10), st.lists(rationals, max_size=10))
+    def test_rational_matches_reference(self, a, b):
+        got = (TruncatedSeries(a) * TruncatedSeries(b)).coeffs
+        expected = reference_series_mul(a, b)
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+
+    @KERNEL
+    @given(quadratic_pairs())
+    def test_quadratic_matches_reference(self, pair):
+        a, b = pair
+        got = (TruncatedSeries(a) * TruncatedSeries(b)).coeffs
+        expected = reference_series_mul(a, b)
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+
+    def test_distinct_fields_raise(self):
+        a = TruncatedSeries([QuadExt(1, 1, 2), Fraction(1)])
+        b = TruncatedSeries([QuadExt(1, 0, 3), Fraction(1)])
+        with pytest.raises(DomainError):
+            a * b
+
+
+class TestSeriesInverse:
+    @KERNEL
+    @given(st.one_of(unit_series(quadratic=False), unit_series(quadratic=True)))
+    def test_matches_reference_recurrence(self, coeffs):
+        got = TruncatedSeries(coeffs).inverse().coeffs
+        expected = reference_inverse(coeffs)
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+
+    @KERNEL
+    @given(st.one_of(unit_series(quadratic=False), unit_series(quadratic=True)))
+    def test_times_inverse_is_one(self, coeffs):
+        s = TruncatedSeries(coeffs)
+        assert s * s.inverse() == TruncatedSeries.one(len(coeffs))
