@@ -61,14 +61,13 @@ class ColemanSpec:
     a_vector: list
     h: CurveFunction = None
     eta: CurveFunction = None
-    basis: list = None
     T: int = None
     constants: dict = field(default_factory=dict)   # str(disk) -> DiskConstants
+    basis: list = field(init=False)    # default_basis(curve), the one basis supported
 
     def __post_init__(self):
         self.p = as_prime(self.p)
-        if self.basis is None:
-            self.basis = default_basis(self.curve)
+        self.basis = default_basis(self.curve)
         n = len(self.basis)
         self.a_matrix = _rational_matrix(self.a_matrix, n, "a_matrix")
         self.a_vector = _rational_list(self.a_vector, n, "a_vector")
@@ -76,7 +75,7 @@ class ColemanSpec:
             self.h = CurveFunction.const(self.curve, 0)
         if self.T is None:
             self.T = default_truncation(self.curve.genus)
-        elif not isinstance(self.T, int) or self.T < 1:
+        elif isinstance(self.T, bool) or not isinstance(self.T, int) or self.T < 1:
             raise DomainError(f"T must be a positive integer, got {self.T!r}")
         if self.h:
             g = self.curve.genus

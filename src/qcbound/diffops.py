@@ -2,11 +2,15 @@
 
 Operators carry their coefficients either algebraically (CurveFunction) or as
 series in a disk parameter, together with the base derivation: d/dx,
-d/omega_0 = y d/dx, or d/dy = (2y/f') d/dx.  Niceness at a disk is always
-judged in the disk's own local parameter t: the operator is rewritten as
-sum G_k (d/dt)^k through the derivation identity D = V(t) d/dt, V the
-expansion of D applied to t, and the certificate asks for p-integral G_k
-with the leading one a unit.
+d/omega_0 = y d/dx, or d/dy = (2y/f') d/dx.  A series operator with base
+'dx' is written in its disk parameter t, so there d/dx means d/dt.
+
+Every operator meets a disk through one rewrite, ``local_operator(D,
+chart)``: D becomes the series operator sum G_k (d/dt)^k in the disk's own
+local parameter t, through the derivation identity D = V(t) d/dt, V the
+expansion of the base derivation applied to t.  Both jobs read that one
+object: niceness asks for p-integral G_k with the leading one a unit, and
+D(F) is ``apply_series`` of it.
 
 The annihilator of functions F_1 .. F_m built from an index set
 S = {n_1 < ... < n_{m+1}} is
@@ -40,7 +44,8 @@ from .series import LaurentSeries, TruncatedSeries
 class DifferentialOperator:
     """sum g_i D^i with D the base derivation ('dx', 'omega0', or 'dy').
 
-    Trailing zero coefficients are trimmed so the order is tight.
+    Trailing zero coefficients are trimmed so the order is tight; a local
+    operator (``local_operator``) keeps the order of the operator it rewrites.
     """
 
     __slots__ = ("coeffs", "base")
@@ -55,6 +60,13 @@ class DifferentialOperator:
             raise DegenerateOperatorError("all operator coefficients vanish")
         self.coeffs = tuple(coeffs)
         self.base = base
+
+    @classmethod
+    def _untrimmed(cls, coeffs):
+        """A d/dt operator of order len(coeffs) - 1, even if its leading coefficient is known zero."""
+        D = cls.__new__(cls)
+        D.coeffs, D.base = tuple(coeffs), "dx"
+        return D
 
     @property
     def order(self):
@@ -100,18 +112,15 @@ class NicenessCertificate:
 # -- application ----------------------------------------------------------------
 
 
-def apply_series(D, F, deriv=None):
+def apply_series(D, F):
     """Apply an operator with series coefficients to a series F.
 
     The series variable is the operator's own coordinate (base 'dx'), so the
-    i-th derivative is the plain series derivative; a custom ``deriv`` endo
-    overrides it.  The result precision is T(F) - order, as each derivative
-    costs one coefficient.
+    i-th derivative is the plain series derivative.  The result precision is
+    T(F) - order, as each derivative costs one coefficient.
     """
-    if deriv is None:
-        if D.base != "dx":
-            raise DomainError("series application of a d/omega0 operator needs a chart")
-        deriv = lambda s: s.derivative()
+    if D.base != "dx":
+        raise DomainError("series application of a d/omega0 operator needs a chart")
     if F.truncation <= D.order:
         raise PrecisionError(
             f"series precision {F.truncation} below operator order {D.order}",
@@ -121,7 +130,7 @@ def apply_series(D, F, deriv=None):
     current = F
     for i, g in enumerate(D.coeffs):
         if i > 0:
-            current = deriv(current)
+            current = current.derivative()
         if _is_zero_coeff(g):
             continue
         if isinstance(g, CurveFunction):
@@ -129,15 +138,6 @@ def apply_series(D, F, deriv=None):
         term = g * current if isinstance(g, TruncatedSeries) else current.scale(g)
         out = term if out is None else out + term
     return out
-
-
-def _laurent_derivation(chart, base):
-    if base == "dx":
-        return lambda L: L.derivative() / chart.dx_dt
-    if base == "dy":
-        dy_dt = chart.y.derivative()
-        return lambda L: L.derivative() / dy_dt
-    return lambda L: (L.derivative() / chart.dx_dt) * chart.y
 
 
 def _coeff_laurent(g, chart):
@@ -148,49 +148,36 @@ def _coeff_laurent(g, chart):
     return LaurentSeries.from_series(TruncatedSeries.from_polynomial([g], chart.T))
 
 
-def apply_on_chart(D, F, chart):
-    """Apply D to a series F in the chart's parameter; algebraic coefficients
-    are expanded on the chart, the base derivation acts through the chart."""
-    deriv = _laurent_derivation(chart, D.base)
-    out = None
-    current = LaurentSeries.from_series(F) if isinstance(F, TruncatedSeries) else F
-    for i, g in enumerate(D.coeffs):
-        if i > 0:
-            current = deriv(current)
-        if _is_zero_coeff(g):
-            continue
-        term = _coeff_laurent(g, chart) * current
-        out = term if out is None else out + term
-    return out.regular_part(context=f"disk {chart.disk}")
+def local_operator(D, chart):
+    """D written as sum G_k (d/dt)^k in the chart parameter t, base 'dx'.
 
-
-def local_coefficients(D, chart):
-    """The operator rewritten as sum G_k (d/dt)^k in the chart parameter.
-
-    Uses D = V(t) d/dt with V the expansion of the base derivation applied
-    to t, and the recursion c_{i+1,k} = V (c_{i,k}' + c_{i,k-1}).  Returns
-    Laurent coefficients (an operator can fail to be regular on a disk).
+    An operator that is already in the chart parameter (series coefficients,
+    base 'dx', which then means d/dt) comes back unchanged.  Otherwise
+    D = V(t) d/dt, with V the expansion of the base derivation applied to t,
+    and the recursion c_{i+1,k} = V (c_{i,k}' + c_{i,k-1}) gives
+    D^i = sum_k c_{i,k} (d/dt)^k.  The G_k are regular parts: PoleError when
+    one has a pole on the disk.  The result keeps the order of D even when
+    its leading local coefficient is known zero, so niceness sees that slot.
     """
+    if D.base == "dx" and not any(isinstance(g, CurveFunction) for g in D.coeffs):
+        return D
     if D.base == "dx":
         V = chart.dx_dt.inverse()
     elif D.base == "dy":
         V = chart.y.derivative().inverse()
     else:
         V = chart.y / chart.dx_dt
-    one = LaurentSeries.from_series(TruncatedSeries.from_polynomial([1], chart.T))
     zero = LaurentSeries.from_series(TruncatedSeries.zero(chart.T))
+    one = LaurentSeries.from_series(TruncatedSeries.from_polynomial([1], chart.T))
     rows = [[one]]  # rows[i][k] = c_{i,k}
-    for i in range(D.order):
+    for _ in range(D.order):
         prev = rows[-1]
         nxt = []
         for k in range(len(prev) + 1):
-            acc = None
-            if k < len(prev):
-                acc = prev[k].derivative()
+            acc = prev[k].derivative() if k < len(prev) else None
             if k >= 1:
-                lower = prev[k - 1]
-                acc = lower if acc is None else acc + lower
-            nxt.append(V * acc if acc is not None else zero)
+                acc = prev[k - 1] if acc is None else acc + prev[k - 1]
+            nxt.append(V * acc)
         rows.append(nxt)
     out = [zero] * (D.order + 1)
     for i, g in enumerate(D.coeffs):
@@ -199,38 +186,34 @@ def local_coefficients(D, chart):
         gl = _coeff_laurent(g, chart)
         for k in range(i + 1):
             out[k] = out[k] + gl * rows[i][k]
-    return out
+    return DifferentialOperator._untrimmed(
+        [L.regular_part(context=f"disk {chart.disk}") for L in out]
+    )
 
 
-def regular_local_coefficients(D, chart):
-    """The regular parts of ``local_coefficients(D, chart)``.
-
-    This is the exact half of the niceness check: it does not depend on the
-    p-adic embedding, so two disks with the same chart series share it.
-    """
-    return [L.regular_part(context=f"disk {chart.disk}") for L in local_coefficients(D, chart)]
+def apply_on_chart(D, F, chart):
+    """Apply D to a series F in the chart's parameter: the local operator of
+    D (see ``local_operator``) applied to F as a series operator."""
+    return apply_series(local_operator(D, chart), F)
 
 
-def check_nice(D, p, chart=None, disk=None, local=None):
+def check_nice(D, p, chart=None):
     """Niceness certificate for D at a disk (or for plain series coefficients).
 
-    Without a chart the coefficients must already be series in the local
-    parameter with base 'dx'.  With a chart, ``local`` may pass the chart's
-    ``regular_local_coefficients(D, chart)`` when they are already known; the
-    valuations are always taken through the chart.  Failure carries the
-    offending coefficient index and valuation.
+    With a chart, the coefficients scanned are those of ``local_operator(D,
+    chart)``, with valuations taken through the chart.  Without a chart the
+    coefficients must already be series in the local parameter with base
+    'dx'.  Failure carries the offending coefficient index and valuation.
     """
     p = as_prime(p)
     if chart is None:
         if any(isinstance(g, CurveFunction) for g in D.coeffs):
             raise DomainError("algebraic coefficients require a chart")
-        locs = [g if isinstance(g, TruncatedSeries) else TruncatedSeries.from_polynomial([g], 1)
-                for g in D.coeffs]
-        val = lambda c: valuation(c, p)
+        disk, coeffs, val = None, D.coeffs, (lambda c: valuation(c, p))
     else:
-        disk = chart.disk
-        locs = local if local is not None else regular_local_coefficients(D, chart)
-        val = chart.valuation_of
+        disk, coeffs, val = chart.disk, local_operator(D, chart).coeffs, chart.valuation_of
+    locs = [g if isinstance(g, TruncatedSeries) else TruncatedSeries.from_polynomial([g], 1)
+            for g in coeffs]
     integrality = None
     fail_idx = fail_val = None
     for idx, g in enumerate(locs):

@@ -537,19 +537,23 @@ def _centered_lift(x_bar, p):
     return x_bar if x_bar <= p // 2 else x_bar - p
 
 
-def nonweierstrass_chart(model, disk, p, T, lift_scan=3):
+_LIFT_SCAN = 3
+
+
+def nonweierstrass_chart(model, disk, p, T):
     """Chart at an affine non-Weierstrass disk.
 
-    Scans a few lifts x0 of x_bar looking for f(x0) an exact rational square
-    (a Q-rational center); otherwise works over Q(sqrt(f(x0))) with the
-    embedding picked so that sqrt reduces to y_bar.
+    Scans the lifts x0 of x_bar within _LIFT_SCAN multiples of p of the
+    centred one for f(x0) an exact rational square (a Q-rational center);
+    otherwise works over Q(sqrt(f(x0))) with the embedding picked so that
+    sqrt reduces to y_bar.
     """
     p = as_prime(p)
     if disk.kind != "affine_nonweierstrass":
         raise DomainError(f"not a non-Weierstrass disk: {disk}")
     base = _centered_lift(disk.x_bar, p)
     chosen = None
-    for k in range(lift_scan + 1):
+    for k in range(_LIFT_SCAN + 1):
         for sgn in ((0,) if k == 0 else (1, -1)):
             x0 = Fraction(base + sgn * k * p)
             d = model.f(x0)

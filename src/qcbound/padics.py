@@ -46,7 +46,8 @@ class Prime(int):
     """
 
     def __new__(cls, p):
-        p = int(p)
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise DomainError(f"p must be an integer, got {p!r}")
         if p == 2:
             raise DomainError("p = 2 is not supported; the method requires p > 2")
         if p < 2 or not is_prime(p):

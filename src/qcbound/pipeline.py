@@ -21,6 +21,12 @@ Both composed operators come from ``diffops.compose_with_base``: the
 non-Weierstrass one from algebraic coefficients, the Weierstrass one from
 series coefficients in the disk coordinate.
 
+Every affine disk runs one flow on L = sum G_k (d/dt)^k, its operator in
+the disk parameter t (``diffops.local_operator`` of the planned D, or the
+composed Weierstrass annihilator, already in t): the niceness certificate
+scans L, D(G) = ``apply_series(L, G)``, and the zero count reads D(G)
+through the chart.  Only disks with a planned candidate certify D(G).
+
 The per-disk zero count N_b of the algebraic image F is the least index of
 minimal valuation of its expansion: by Weierstrass preparation this is the
 number of C_p zeros of F on the whole disk.  It is certified either against
@@ -37,10 +43,10 @@ Within one run, two non-Weierstrass disks share their exact series when the
 chart centre (x0, sqrt d) lies in Q(sqrt d) and both the truncation T and
 ``spec.constants_for(disk)`` agree.  That is the conjugate pair (x, y),
 (x, -y): both charts expand the same series and differ only in the p-adic
-embedding of sqrt d.  The pair computes once G, D(G), the algebraic
-certificate and the regular local coefficients of the niceness check.  Each
-disk still builds its own chart and, through its own embedding, takes the
-niceness valuation scan and the zero count.  Centres with a rational
+embedding of sqrt d.  The pair computes once G, the local operator L, D(G)
+and the algebraic certificate.  Each disk still builds its own chart and,
+through its own embedding, takes the niceness valuation scan and the zero
+count.  Centres with a rational
 y0 = +-r give different series and share nothing.  The plan and the shared
 series live for one ``run_pipeline`` call only.
 """
@@ -52,11 +58,11 @@ from .bounds import per_disk_bound, strict_integer_bound
 from .coleman import certify_algebraic, expand_G
 from .diffops import (
     DifferentialOperator,
-    apply_on_chart,
+    apply_on_chart,  # not called here: perfbench/probes.py wraps this name in traced runs
     apply_series,
     check_nice,
     compose_with_base,
-    regular_local_coefficients,
+    local_operator,
     weierstrass_local_annihilator,
 )
 from .errors import DomainError, PrecisionError
@@ -294,15 +300,21 @@ class _OperatorPlan:
 
     def __init__(self, spec, kind):
         self._operator = _attempt(_operator_for_affine, spec, kind)
-        candidate = None if isinstance(self._operator, Exception) else self._operator[3]
-        self._degree = _attempt(polar_degree, candidate) if candidate else None
+        self._degree = None
+        if not isinstance(self._operator, Exception):
+            D, _, _, candidate = self._operator
+            if D is None:
+                self._degree = _weierstrass_output_degree(spec.curve)
+            elif candidate:
+                self._degree = _attempt(polar_degree, candidate)
 
     def operator(self):
         """(D or None, description, order, candidate or None)."""
         return _unwrap(self._operator)
 
     def degree(self):
-        """Polar degree of the (nonzero) candidate."""
+        """Polar degree of the (nonzero) candidate; for the Weierstrass
+        annihilator, the proof's output-ledger degree."""
         return _unwrap(self._degree)
 
 
@@ -370,32 +382,27 @@ def analyze_disk(spec, disk):
         ana.operator, ana.order = desc, order
         exact = plan.exact_series(chart)
         G = _once(exact, "G", expand_G, spec, chart)
-        if D is not None:
-            if not candidate:
-                ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
-                return ana
-            local = _once(exact, "local", regular_local_coefficients, D, chart)
-            ana.nice = check_nice(D, p, chart=chart, local=local)
-            DG = _once(exact, "DG", apply_on_chart, D, G, chart)
-            ana.dg_candidate = candidate
-            degree = planned.degree()
+        if D is None:   # Weierstrass disk: the composed annihilator is already in t
+            L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
+        elif not candidate:
+            ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
+            return ana
+        else:
+            L = _once(exact, "L", local_operator, D, chart)
+        ana.order = L.order
+        ana.nice = check_nice(L, p, chart=chart)
+        DG = _once(exact, "DG", apply_series, L, G)
+        ana.dg_candidate = candidate
+        degree = planned.degree()
+        if candidate is not None:
             ana.certified = _once(exact, "certified", certify_algebraic, DG, candidate, chart)
             if not ana.certified:
                 ana.error = "algebraic certification failed"
                 return ana
-            ana.n_b, ana.n_b_method = algebraic_zero_count(
-                DG, p, plan.floor, degree, val=chart.valuation_of
-            )
-        else:
-            D1 = weierstrass_local_annihilator(chart)
-            D_full = compose_with_base(D1, "omega0", chart)
-            ana.order = D_full.order
-            ana.nice = check_nice(D_full, p)
-            DG = apply_series(D_full, G)
-            degree = _weierstrass_output_degree(C)
-            ana.certified = None   # candidate not materialized at this order
-            ana.n_b, ana.n_b_method = algebraic_zero_count(DG, p, plan.floor, degree)
-        if ana.nice is not None and not ana.nice.ok:
+        ana.n_b, ana.n_b_method = algebraic_zero_count(
+            DG, p, plan.floor, degree, val=chart.valuation_of
+        )
+        if not ana.nice.ok:
             ana.error = (
                 f"operator not nice: coefficient {ana.nice.failure_index} has "
                 f"valuation {ana.nice.failure_valuation}"

@@ -66,19 +66,23 @@ class QuadExt:
     # -- field operations ------------------------------------------------------
 
     def _coerce(self, other):
+        """(other as a QuadExt, the d of the result), or (None, None) for a
+        foreign type.  An operand with v = 0 takes the other operand's field."""
         if isinstance(other, QuadExt):
-            if other.d != self.d and self.v and other.v:
+            if other.d == self.d or not other.v:
+                return other, self.d
+            if self.v:
                 raise DomainError("mixing distinct quadratic extensions")
-            return other
+            return other, other.d
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return None
+            return QuadExt(other, 0, self.d), self.d
+        return None, None
 
     def __add__(self, other):
-        other = self._coerce(other)
+        other, d = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadExt(self.u + other.u, self.v + other.v, self.d)
+        return QuadExt(self.u + other.u, self.v + other.v, d)
 
     __radd__ = __add__
 
@@ -86,22 +90,22 @@ class QuadExt:
         return QuadExt(-self.u, -self.v, self.d)
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        other, d = self._coerce(other)
         if other is None:
             return NotImplemented
-        return QuadExt(self.u - other.u, self.v - other.v, self.d)
+        return QuadExt(self.u - other.u, self.v - other.v, d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        other, d = self._coerce(other)
         if other is None:
             return NotImplemented
         return QuadExt(
             self.u * other.u + self.d * self.v * other.v,
             self.u * other.v + self.v * other.u,
-            self.d,
+            d,
         )
 
     __rmul__ = __mul__
@@ -113,7 +117,7 @@ class QuadExt:
         return QuadExt(self.u / n, -self.v / n, self.d)
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        other, _ = self._coerce(other)
         if other is None:
             return NotImplemented
         return self * other.inverse()

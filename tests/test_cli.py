@@ -213,8 +213,15 @@ class TestPipeline:
             [elliptic_spec_data()],
             {**elliptic_spec_data(), "T": "20"},
             {**elliptic_spec_data(), "constants": {"(0,1)": {"singles": ["1"]}}},
+            {**elliptic_spec_data(), "p": None},
+            {**elliptic_spec_data(), "p": [5]},
+            {**elliptic_spec_data(), "p": 7.9},
+            {**elliptic_spec_data(), "T": True},
         ],
-        ids=["a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short"],
+        ids=[
+            "a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short",
+            "p_null", "p_list", "p_float", "T_bool",
+        ],
     )
     def test_malformed_spec_exit_2(self, tmp_path, capsys, data):
         assert main(["pipeline", "--spec", write_spec(tmp_path, data)]) == 2

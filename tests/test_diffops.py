@@ -12,6 +12,7 @@ from qcbound.diffops import (
     build_annihilator,
     check_nice,
     compose_with_base,
+    local_operator,
     search_nice_S,
     weierstrass_annihilator,
     weierstrass_local_annihilator,
@@ -24,8 +25,9 @@ from qcbound.errors import (
 )
 from qcbound.funcfield import CurveFunction, nonweierstrass_chart, weierstrass_chart
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
+from qcbound.padics import INFINITY
 from qcbound.polys import Poly
-from qcbound.series import TruncatedSeries
+from qcbound.series import LaurentSeries, TruncatedSeries
 
 
 def S(coeffs, T=None):
@@ -365,3 +367,133 @@ class TestWeierstrassAnnihilator:
                 F = chart.expand(CurveFunction.x_power_over_y(C, j) * CurveFunction.y(C))
                 out = apply_series(D1, F)
                 assert out.is_known_zero()
+
+
+def laurent_apply_on_chart(D, F, chart):
+    """The former ``apply_on_chart``, kept as the reference: D^i F by Laurent
+    derivations that divide by dx/dt (or dy/dt) at every step, each
+    coefficient expanded on the chart, the sum's regular part at the end."""
+    if D.base == "dx":
+        deriv = lambda L: L.derivative() / chart.dx_dt
+    elif D.base == "dy":
+        dy_dt = chart.y.derivative()
+        deriv = lambda L: L.derivative() / dy_dt
+    else:
+        deriv = lambda L: (L.derivative() / chart.dx_dt) * chart.y
+    out = None
+    current = LaurentSeries.from_series(F)
+    for i, g in enumerate(D.coeffs):
+        if i > 0:
+            current = deriv(current)
+        if isinstance(g, TruncatedSeries):
+            if g.is_known_zero():
+                continue
+            g_laurent = LaurentSeries.from_series(g)
+        elif not g:
+            continue
+        else:
+            g_laurent = chart.laurent(g)
+        term = g_laurent * current
+        out = term if out is None else out + term
+    return out.regular_part()
+
+
+def reference_charts():
+    """A rational and a Q(sqrt 60) non-Weierstrass chart and a Weierstrass
+    chart of the genus-2 even curve at p = 7, all at T = 20."""
+    C = genus2_even()
+    return C, {
+        "rational": nonweierstrass_chart(C, DiskDescriptor("affine_nonweierstrass", 5, 1), 7, 20),
+        "quadratic": nonweierstrass_chart(C, DiskDescriptor("affine_nonweierstrass", 2, 2), 7, 20),
+        "weierstrass": weierstrass_chart(C, DiskDescriptor("affine_weierstrass", 0, 0), 7, 20),
+    }
+
+
+def algebraic_operators(C):
+    """Operators regular at every chart above, one per base, plus the
+    Weierstrass annihilator and a same-base composition."""
+    x, y = CurveFunction.x(C), CurveFunction.y(C)
+    zero, one = CurveFunction.const(C, 0), CurveFunction.const(C, 1)
+    return {
+        # the factor y keeps the d/dx coefficients regular where dx/dt vanishes
+        "dx": DifferentialOperator([x, y, x * y], base="dx"),
+        "omega0": DifferentialOperator([zero, x, one], base="omega0"),
+        "dy": DifferentialOperator([x, y, one], base="dy"),
+        "weierstrass_annihilator": weierstrass_annihilator(C),
+        "compose_with_base": compose_with_base(DifferentialOperator([zero, y], base="omega0"), "omega0"),
+    }
+
+
+def nonweierstrass_operators(C, chart):
+    """Operators with poles at Weierstrass disks: the mixed-base composition
+    the pipeline uses, and series operators written in the chart parameter."""
+    q = C.basis_size
+    ddx_q = DifferentialOperator([CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)])
+    funcs = [chart.expand(CurveFunction.x_power_over_y(C, j)) for j in range(3)]
+    D1 = build_annihilator([0, 1, 2, 3], funcs, base="dx")
+    return {
+        "compose_with_base_mixed": compose_with_base(ddx_q, "omega0"),
+        "series": D1,
+        "compose_with_base_series": compose_with_base(D1, "omega0", chart),
+    }
+
+
+class TestLocalOperator:
+    @pytest.mark.parametrize("chart_name", ["rational", "quadratic", "weierstrass"])
+    def test_apply_on_chart_equals_laurent_reference(self, chart_name):
+        C, charts = reference_charts()
+        chart = charts[chart_name]
+        ops = algebraic_operators(C)
+        if chart_name != "weierstrass":
+            ops.update(nonweierstrass_operators(C, chart))
+        x, y = CurveFunction.x(C), CurveFunction.y(C)
+        F = chart.expand(x * x * x + y)
+        assert F.truncation == chart.T
+        for name, D in ops.items():
+            got = apply_on_chart(D, F, chart)
+            want = laurent_apply_on_chart(D, F, chart)
+            assert not want.is_known_zero(), name
+            assert got.truncation == want.truncation, name
+            assert got == want, name
+
+    @pytest.mark.parametrize("chart_name", ["rational", "quadratic", "weierstrass"])
+    def test_longer_input_agrees_on_the_shared_prefix(self, chart_name):
+        # with F longer than the chart the two paths keep different numbers of
+        # known coefficients, both exact: the Laurent reference keeps relative
+        # precision through dx/dt (which vanishes at t = 0 when t = y) and
+        # caps every derivative step at the chart's precision of dx/dt
+        C, charts = reference_charts()
+        chart = charts[chart_name]
+        ops = algebraic_operators(C)
+        if chart_name != "weierstrass":
+            ops.update(nonweierstrass_operators(C, chart))
+        F = chart.expand(CurveFunction.x(C) * CurveFunction.y(C)).antiderivative()
+        assert F.truncation > chart.T
+        for name, D in ops.items():
+            got = apply_on_chart(D, F, chart)
+            want = laurent_apply_on_chart(D, F, chart)
+            upto = min(got.truncation, want.truncation)
+            assert upto >= F.truncation - D.order - 2, name
+            assert not want.truncate(upto).is_known_zero(), name
+            assert got.agrees_with(want, upto=upto), name
+
+    def test_series_operator_comes_back_unchanged(self):
+        C, charts = reference_charts()
+        chart = charts["weierstrass"]
+        D = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
+        assert local_operator(D, chart) is D
+
+    def test_known_zero_leading_coefficient_is_not_nice(self):
+        # x^5 d/dx at the disk centred at x = 0: x = t, and to T = 4 the
+        # local leading coefficient t^5 is known zero; the slot must stay
+        C = CurveModel("odd", [1, 1, 0, 1])
+        chart = nonweierstrass_chart(C, DiskDescriptor("affine_nonweierstrass", 0, 1), 5, 4)
+        assert chart.center[0] == 0
+        x = CurveFunction.x(C)
+        D = DifferentialOperator([CurveFunction.const(C, 0), x * x * x * x * x], base="dx")
+        L = local_operator(D, chart)
+        assert L.order == 1 and L.leading.is_known_zero()
+        cert = check_nice(D, 5, chart=chart)
+        assert not cert.ok
+        assert cert.unit_witness == INFINITY
+        assert cert.failure_index == 1

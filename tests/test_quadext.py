@@ -48,6 +48,16 @@ class TestQuadExtField:
     def test_distinct_extensions_rejected(self):
         with pytest.raises(DomainError):
             QuadExt(1, 1, 2) * QuadExt(1, 1, 3)
+        with pytest.raises(DomainError):
+            QuadExt(1, 1, 2) + QuadExt(1, 1, 3)
+
+    def test_rational_operand_takes_the_other_field(self):
+        # a v = 0 operand is rational, whatever its d; both orders agree
+        a, b = QuadExt(1, 0, 2), QuadExt(1, 1, 3)
+        for got in (a * b, b * a, a + QuadExt(0, 1, 3), QuadExt(0, 1, 3) + a):
+            assert (got.u, got.v, got.d) == (1, 1, 3)
+        got = a - QuadExt(0, 1, 3)
+        assert (got.u, got.v, got.d) == (1, -1, 3)
 
 
 class TestEmbedding:
