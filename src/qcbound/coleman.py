@@ -27,7 +27,6 @@ from fractions import Fraction
 from .errors import DomainError, PrecisionError
 from .funcfield import (
     CurveFunction,
-    RationalFunc,
     default_truncation,
     finite_nonweierstrass_pole_degree,
     ledger_of,
@@ -205,7 +204,7 @@ def _curve_function_from_pair(curve, data, what):
     data = _json_object(data, what)
     a = _poly_from_strings(data.get("a", []), f"{what} a")
     b = _poly_from_strings(data.get("b", []), f"{what} b")
-    return CurveFunction(curve, a, RationalFunc(b))
+    return CurveFunction(curve, a, b)
 
 
 def parse_spec_data(data):

@@ -1,9 +1,19 @@
 """Arithmetic in Q(x)[y]/(y^2 - f(x)), residue-disk expansions, pole ledgers.
 
-A ``CurveFunction`` is a(x) + b(x) y in canonical form: y^2 is eliminated via
-the curve equation, the rational functions a, b are gcd-reduced with monic
-denominators.  The two derivations of interest are d/dx (with dy/dx =
-f'(x)/(2y)) and d/omega_0 = y d/dx, which preserves polynomial functions.
+A ``CurveFunction`` is stored over a power of f: (A(x) + B(x) y) / (f^k E(x))
+with A, B polynomials, k >= 0 and E monic and coprime to f.  E = 1 for every
+function built from polynomials, the basis x^j/y and f-power quotients, the
+shape of Kedlaya's reduction of B(x) y / f^k dx.  Sums, products and the two
+derivations of interest, d/dx (with dy/dx = f'(x)/(2y)) and d/omega_0 =
+y d/dx, have closed forms in this shape and run no gcd.  Only ``inverse`` and
+an input whose denominator is not a power of f make E != 1; there the factors
+of the denominator shared with f move into the f-power.
+
+Reduction happens once per function, on demand: ``a`` and ``b`` give the
+reduced view a(x) + b(x) y, each part a gcd-reduced ``RationalFunc`` with a
+monic denominator.  Printing, equality, hashing, values mod p and disk
+expansions read the view, so they depend on the function and not on how it
+was built.
 
 Disk expansions fix one local parameter per residue-disk kind:
 
@@ -18,35 +28,38 @@ Disk expansions fix one local parameter per residue-disk kind:
 * infinity, odd model: t = x^g / y, with x = t^-2 s(t) and y = t^-(2g+1) s(t)^g
   for the unique unit series s solving the curve equation.
 
-Pole ledgers certify membership in H^0(X, O(n*infinity + m*W)).  Orders at
-infinity are read off Laurent expansions (cancellation between the a and b*y
-parts is possible on even models); orders along W come from the norm
-a^2 - b^2 f, whose multiplicity along roots of f is computed by gcd towers,
-never by factoring f.
+Pole ledgers certify membership in H^0(X, O(n*infinity + m*W)).  Both orders
+are read from the f-power form: at infinity from the degrees of A, B, f^k and
+E, along W from how many times f divides A and B.  Neither needs an expansion
+or a factorisation of f.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, NonUnitError, PoleError, PrecisionError
+from .errors import DomainError, NonUnitError, PoleError
 from .hyperelliptic import DiskDescriptor, _eval_mod, poly_mod, reduce_mod
 from .padics import as_prime, valuation
 from .polys import Poly, poly_gcd, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
 from .series import LaurentSeries, TruncatedSeries, poly_on_series
 
+_ONE = Poly([1])
+_HALF = Fraction(1, 2)
+
 
 class RationalFunc:
-    """num/den with den monic and gcd(num, den) = 1."""
+    """num/den with den monic and gcd(num, den) = 1: the reduced form of one
+    part of a CurveFunction, and an input type for its constructor."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, reduce=True):
+    def __init__(self, num, den=None):
         num = num if isinstance(num, Poly) else Poly(num if isinstance(num, (list, tuple)) else [num])
         den = Poly([1]) if den is None else (den if isinstance(den, Poly) else Poly(den if isinstance(den, (list, tuple)) else [den]))
         if not den:
             raise ZeroDivisionError("zero denominator")
-        if reduce and num:
+        if num and den.degree > 0:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num = num.exact_div(g)
@@ -55,7 +68,7 @@ class RationalFunc:
             den = Poly([1])
         lead = den.leading
         if lead != 1:
-            num = num * Poly([1 / lead])
+            num = _scaled(num, 1 / lead)
             den = den.monic()
         self.num = num
         self.den = den
@@ -77,74 +90,83 @@ class RationalFunc:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFunc(other if isinstance(other, Poly) else Poly([other]))
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunc(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalFunc) else RationalFunc.const(-1) * other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunc(self.num * Poly([other]), self.den, reduce=False)
-        if isinstance(other, Poly):
-            other = RationalFunc(other)
-        if not isinstance(other, RationalFunc):
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if not self.num:
-            raise NonUnitError("division by the zero rational function")
-        return RationalFunc(self.den, self.num)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = RationalFunc(other if isinstance(other, Poly) else Poly([other]))
-        return self * other.inverse()
-
-    def derivative(self):
-        return RationalFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def infinity_degree(self):
-        """deg num - deg den: pole order at x = infinity on the x-line."""
-        if not self.num:
-            return None
-        return self.num.degree - self.den.degree
-
     def __repr__(self):
         if self.den == Poly([1]):
             return repr(self.num)
         return f"({self.num!r})/({self.den!r})"
 
 
-class CurveFunction:
-    """a(x) + b(x) y on a fixed hyperelliptic model, canonical form."""
+def _scaled(P, c):
+    """c * P for a rational c."""
+    return Poly([c * x for x in P.coeffs])
 
-    __slots__ = ("model", "a", "b")
+
+def _times(P, Q):
+    """P * Q, without the product kernel when Q is a constant (E = 1 mostly)."""
+    if Q.degree == 0:
+        return P if Q.coeffs[0] == 1 else _scaled(P, Q.coeffs[0])
+    return P * Q
+
+
+def _f_power(f, k):
+    out = _ONE
+    for _ in range(k):
+        out = out * f
+    return out
+
+
+def _over_f_power(num, den, f):
+    """(N, k, E) with num/den = N/(f^k E), E monic and coprime to f.
+
+    Each round takes g = gcd(E, f), the factors of f still in E, out of E and
+    multiplies N by the cofactor f/g, so that g becomes one whole f.
+    """
+    N, E, k = _scaled(num, 1 / den.leading), den.monic(), 0
+    while E.degree > 0:
+        g = poly_gcd(E, f)
+        if g.degree == 0:
+            break
+        E = E.exact_div(g)
+        if g.degree < f.degree:
+            N = N * f.exact_div(g)
+        k += 1
+    return N, k, E
+
+
+def _as_rational(c):
+    if isinstance(c, RationalFunc):
+        return c
+    return RationalFunc(c if isinstance(c, Poly) else Poly([c]))
+
+
+class CurveFunction:
+    """(A(x) + B(x) y) / (f^k E(x)) on a fixed hyperelliptic model.
+
+    A, B are polynomials, k >= 0 and E is monic and coprime to f.  The form is
+    not unique (f may still divide A and B, E may share factors with both):
+    the operations only keep it exact, and ``a``, ``b`` give the canonical
+    reduced view (see the module docstring).
+    """
+
+    __slots__ = ("model", "A", "B", "k", "E", "_view")
 
     def __init__(self, model, a, b=None):
-        self.model = model
-        self.a = a if isinstance(a, RationalFunc) else RationalFunc(a if isinstance(a, Poly) else Poly([a]))
-        if b is None:
-            b = RationalFunc(Poly())
-        self.b = b if isinstance(b, RationalFunc) else RationalFunc(b if isinstance(b, Poly) else Poly([b]))
+        """a(x) + b(x) y for a, b each a rational, a Poly or a RationalFunc."""
+        a, b = _as_rational(a), _as_rational(Poly() if b is None else b)
+        if a.den.degree == 0 and b.den.degree == 0:
+            F = CurveFunction._make(model, a.num, b.num, 0, _ONE)
+        else:
+            Na, ka, Ea = _over_f_power(a.num, a.den, model.f)
+            Nb, kb, Eb = _over_f_power(b.num, b.den, model.f)
+            F = CurveFunction._make(model, Na, Poly(), ka, Ea) + CurveFunction._make(model, Poly(), Nb, kb, Eb)
+        self.model, self.A, self.B, self.k, self.E = model, F.A, F.B, F.k, F.E
+        self._view = (a, b)
+
+    @classmethod
+    def _make(cls, model, A, B, k, E):
+        F = cls.__new__(cls)
+        F.model, F.A, F.B, F.k, F.E, F._view = model, A, B, k, E, None
+        return F
 
     # -- constructors ---------------------------------------------------------
 
@@ -154,7 +176,7 @@ class CurveFunction:
 
     @classmethod
     def y(cls, model):
-        return cls(model, Poly(), RationalFunc(Poly([1])))
+        return cls(model, Poly(), Poly([1]))
 
     @classmethod
     def const(cls, model, c):
@@ -162,8 +184,25 @@ class CurveFunction:
 
     @classmethod
     def x_power_over_y(cls, model, j):
-        """x^j / y, the dx-quotient of the basis differential x^j dx / y."""
-        return cls(model, Poly(), RationalFunc(Poly([0] * j + [1]), model.f))
+        """x^j / y = x^j y / f, the dx-quotient of the basis differential x^j dx / y."""
+        return cls._make(model, Poly(), Poly.x_power(j), 1, _ONE)
+
+    # -- the reduced view -----------------------------------------------------
+
+    def view(self):
+        """(a, b), the reduced parts of a(x) + b(x) y; computed once."""
+        if self._view is None:
+            den = _times(_f_power(self.model.f, self.k), self.E)
+            self._view = (RationalFunc(self.A, den), RationalFunc(self.B, den))
+        return self._view
+
+    @property
+    def a(self):
+        return self.view()[0]
+
+    @property
+    def b(self):
+        return self.view()[1]
 
     # -- structure ------------------------------------------------------------
 
@@ -172,34 +211,45 @@ class CurveFunction:
             if other.model is not self.model and other.model.f != self.model.f:
                 raise DomainError("functions live on different curves")
             return other
-        if isinstance(other, (int, Fraction)):
-            return CurveFunction.const(self.model, other)
-        if isinstance(other, (Poly, RationalFunc)):
-            return CurveFunction(self.model, other if isinstance(other, RationalFunc) else RationalFunc(other))
+        if isinstance(other, (int, Fraction, Poly, RationalFunc)):
+            return CurveFunction(self.model, other)
         return None
 
     def __bool__(self):
-        return bool(self.a) or bool(self.b)
+        return bool(self.A) or bool(self.B)
 
     def __eq__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return self.a == other.a and self.b == other.b
+        return self.view() == other.view()
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash(self.view())
 
     def __add__(self, other):
         other = self._check(other)
         if other is None:
             return NotImplemented
-        return CurveFunction(self.model, self.a + other.a, self.b + other.b)
+        f = self.model.f
+        k = max(self.k, other.k)
+        m1, m2 = _f_power(f, k - self.k), _f_power(f, k - other.k)
+        if self.E == other.E:
+            E = self.E
+        else:
+            E = _times(self.E, other.E)
+            m1, m2 = _times(m1, other.E), _times(m2, self.E)
+        return CurveFunction._make(
+            self.model,
+            _times(self.A, m1) + _times(other.A, m2),
+            _times(self.B, m1) + _times(other.B, m2),
+            k, E,
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CurveFunction(self.model, -self.a, -self.b)
+        return CurveFunction._make(self.model, -self.A, -self.B, self.k, self.E)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -212,33 +262,35 @@ class CurveFunction:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CurveFunction(self.model, self.a * other, self.b * other)
+            return CurveFunction._make(self.model, _scaled(self.A, other), _scaled(self.B, other), self.k, self.E)
         other = self._check(other)
         if other is None:
             return NotImplemented
-        f = RationalFunc(self.model.f)
-        # (a1 + b1 y)(a2 + b2 y) = a1 a2 + b1 b2 f + (a1 b2 + a2 b1) y
-        return CurveFunction(
+        # (A1 + B1 y)(A2 + B2 y) = A1 A2 + B1 B2 f + (A1 B2 + A2 B1) y
+        return CurveFunction._make(
             self.model,
-            self.a * other.a + self.b * other.b * f,
-            self.a * other.b + self.b * other.a,
+            self.A * other.A + self.B * other.B * self.model.f,
+            self.A * other.B + other.A * self.B,
+            self.k + other.k,
+            _times(self.E, other.E),
         )
 
     __rmul__ = __mul__
 
     def involution(self):
         """Hyperelliptic involution y -> -y."""
-        return CurveFunction(self.model, self.a, -self.b)
-
-    def norm(self):
-        """a^2 - b^2 f, the product with the involution image."""
-        return self.a * self.a - self.b * self.b * RationalFunc(self.model.f)
+        return CurveFunction._make(self.model, self.A, -self.B, self.k, self.E)
 
     def inverse(self):
+        """1/F = f^k E (A - B y) / (A^2 - B^2 f); the norm's shared factors
+        with f go into the new f-power, and the rest becomes E."""
         if not self:
             raise NonUnitError("division by the zero function")
-        n = self.norm()
-        return CurveFunction(self.model, self.a / n, (-self.b) / n)
+        f = self.model.f
+        N, j, E = _over_f_power(_ONE, self.A * self.A - self.B * self.B * f, f)
+        m = min(j, self.k)
+        top = _times(_times(_f_power(f, self.k - m), self.E), N)
+        return CurveFunction._make(self.model, self.A * top, -(self.B * top), j - m, E)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -246,25 +298,52 @@ class CurveFunction:
             return NotImplemented
         return self * other.inverse()
 
+    def _quotient_numerator(self, P):
+        """P'E - PE', the numerator of d/dx (P/E) over E^2."""
+        if self.E.degree == 0:
+            return P.derivative()
+        return P.derivative() * self.E - P * self.E.derivative()
+
+    def _dx_numerator(self, P, c):
+        """(P'f - c P f')E - P f E': over f^(k+1) E^2, d/dx (P/(f^k E)) for
+        c = k, and d/dx (P y/(f^k E)) divided by y for c = k - 1/2."""
+        if not P:
+            return P
+        f = self.model.f
+        out = P.derivative() * f - P * _scaled(f.derivative(), c)
+        if self.E.degree == 0:
+            return out
+        return out * self.E - P * f * self.E.derivative()
+
     def d_dx(self):
-        """Derivation with dy/dx = f'(x) / (2y)."""
-        fp = RationalFunc(self.model.f.derivative())
-        f = RationalFunc(self.model.f)
-        # b * f'/(2y) = (b f' / (2f)) y
-        return CurveFunction(
+        """Derivation with dy/dx = f'(x) / (2y).
+
+        With D = f^k E: d/dx (A/D) = ((A'f - kAf')E - AfE') / (f^(k+1) E^2) and
+        d/dx (By/D) = ((B'f - (k - 1/2)Bf')E - BfE') y / (f^(k+1) E^2).
+        """
+        E2 = _times(self.E, self.E)
+        if not self.B and not self.k:
+            return CurveFunction._make(self.model, self._quotient_numerator(self.A), Poly(), 0, E2)
+        return CurveFunction._make(
             self.model,
-            self.a.derivative(),
-            self.b.derivative() + (self.b * fp) / (f * 2),
+            self._dx_numerator(self.A, self.k),
+            self._dx_numerator(self.B, self.k - _HALF),
+            self.k + 1, E2,
         )
 
     def d_by_omega0(self):
-        """y * d/dx, the derivation dual to omega_0 = dx/y; preserves polynomials."""
-        fp = RationalFunc(self.model.f.derivative())
-        f = RationalFunc(self.model.f)
-        return CurveFunction(
-            self.model,
-            self.b.derivative() * f + self.b * fp / 2,
-            self.a.derivative(),
+        """y * d/dx, the derivation dual to omega_0 = dx/y; preserves polynomials.
+
+        y (Xa + Xb y) / (f^(k+1) E^2) = (Xb f + Xa y) / (f^(k+1) E^2), with Xa,
+        Xb the numerators of d/dx; when k = 0, Xa = f (A'E - AE') and the
+        power of f stays 0.
+        """
+        E2 = _times(self.E, self.E)
+        Xb = self._dx_numerator(self.B, self.k - _HALF)
+        if not self.k:
+            return CurveFunction._make(self.model, Xb, self._quotient_numerator(self.A), 0, E2)
+        return CurveFunction._make(
+            self.model, Xb * self.model.f, self._dx_numerator(self.A, self.k), self.k + 1, E2
         )
 
     def d_dy(self):
@@ -272,18 +351,23 @@ class CurveFunction:
 
         Its divided powers (1/n!) (d/dy)^n keep p-integrality of disk
         expansions for every odd p, unlike divided d/omega_0 powers, whose
-        normalizing factorials are non-units when p <= n.
+        normalizing factorials are non-units when p <= n.  f' is coprime to
+        the squarefree f, so it joins E.
         """
-        return self.d_by_omega0() * RationalFunc(Poly([2]), self.model.f.derivative())
+        fp = self.model.f.derivative()
+        return self.d_by_omega0() * CurveFunction._make(
+            self.model, Poly([2 / fp.leading]), Poly(), 0, fp.monic()
+        )
 
     def is_polynomial(self):
-        return self.a.den.degree == 0 and self.b.den.degree == 0
+        a, b = self.view()
+        return a.den.degree == 0 and b.den.degree == 0
 
     def value_mod_p(self, x_bar, y_bar, p):
         """Reduction of the value at an affine F_p point (x_bar, y_bar)."""
         p = as_prime(p)
         out = 0
-        for part, ybar_factor in ((self.a, 1), (self.b, y_bar)):
+        for part, ybar_factor in zip(self.view(), (1, y_bar)):
             if not part:
                 continue
             den = _eval_mod(poly_mod(part.den, p), x_bar, p)
@@ -294,9 +378,10 @@ class CurveFunction:
         return out
 
     def __repr__(self):
-        if not self.b:
-            return f"CurveFunction({self.a!r})"
-        return f"CurveFunction({self.a!r} + ({self.b!r})*y)"
+        a, b = self.view()
+        if not b:
+            return f"CurveFunction({a!r})"
+        return f"CurveFunction({a!r} + ({b!r})*y)"
 
 
 # -- pole ledgers --------------------------------------------------------------
@@ -318,97 +403,88 @@ class PoleLedger:
         return self.n_inf <= n_inf and self.m_W <= m_W and self.extra <= extra
 
 
-def _mult_along_f(poly, f):
-    """min and max multiplicity of roots of f inside poly (gcd towers)."""
-    if not poly:
-        raise DomainError("zero polynomial has no multiplicity profile")
-    # max: strip one layer of common roots per round
-    max_mult = 0
-    q = poly
+def _f_multiplicity(P, f):
+    """How many times f divides the nonzero polynomial P."""
+    m = 0
     while True:
-        g = poly_gcd(q, f)
-        if g.degree == 0:
-            break
-        max_mult += 1
-        q = q.exact_div(g)
-    # min: f | poly exactly min-many times (f squarefree)
-    min_mult = 0
-    q = poly
-    while True:
-        g = poly_gcd(q, f)
-        if g.degree != f.degree:
-            break
-        min_mult += 1
-        q = q.exact_div(f.monic())
-    return min_mult, max_mult
+        q, r = divmod(P, f)
+        if r:
+            return m
+        P, m = q, m + 1
 
 
-def weierstrass_order_range(F):
-    """(min, max) of ord_w(F) over the Weierstrass points w, via the norm.
+def weierstrass_order(F):
+    """min of ord_w(F) over the Weierstrass points w = (x_w, 0).
 
-    The involution fixes each w, so ord_w(F) equals the multiplicity of
-    (x - x_w) in a^2 - b^2 f; with the norm written as coprime P/Q, at each w
-    at most one of P, Q vanishes.
+    y is a uniformizer at w and x - x_w has order 2, so A has the even order
+    2 v_w(A), B y the odd order 2 v_w(B) + 1, and the two never cancel;
+    f^k has order 2k and E is a unit at w.  Hence ord_w(F) = min(2 v_w(A),
+    2 v_w(B) + 1) - 2k, and as f is squarefree the least v_w(A) over the roots
+    of f is the number of times f divides A.
     """
     if not F:
         raise DomainError("zero function")
-    n = F.norm()
     f = F.model.f
-    min_p, max_p = _mult_along_f(n.num, f)
-    min_q, max_q = _mult_along_f(n.den, f)
-    min_ord = -max_q if max_q > 0 else min_p
-    max_ord = max_p if max_p > 0 else -min_q
-    return min_ord, max_ord
+    orders = []
+    if F.A:
+        orders.append(2 * _f_multiplicity(F.A, f))
+    if F.B:
+        orders.append(2 * _f_multiplicity(F.B, f) + 1)
+    return min(orders) - 2 * F.k
 
 
 def finite_nonweierstrass_pole_degree(F):
     """Upper bound for the polar degree away from W and infinity.
 
-    Denominator roots aligned with f are already accounted by the W order;
-    every other root contributes at most its multiplicity at each of the two
-    points above it.
+    Only E carries such poles (f^k is accounted by the W order).  A part P
+    (A or B) keeps E / gcd(P, E) of it after reduction, and every root of that
+    contributes at most its multiplicity at each of the two points above it.
     """
-    total = 0
-    for part in (F.a, F.b):
-        den = part.den
-        while True:
-            g = poly_gcd(den, F.model.f)
-            if g.degree == 0:
-                break
-            den = den.exact_div(g)
-        total += 2 * den.degree
-    return total
+    if F.E.degree == 0:
+        return 0
+    return sum(2 * (F.E.degree - poly_gcd(P, F.E).degree) for P in (F.A, F.B) if P)
 
 
-def infinity_pole_order(F, T=None):
-    """Max of -ord(F) over the infinite places (per-point, signed)."""
+def infinity_pole_order(F):
+    """Max of -ord(F) over the infinite places (per-point, signed).
+
+    With n = k deg f + deg E, the A term has pole order deg A - n on an even
+    model (t = 1/x) and 2(deg A - n) on an odd one (x of pole order 2); the
+    B y term has deg B + g + 1 - n, respectively 2(deg B - n) + 2g + 1.  On
+    an odd model the parities differ, so the larger order is F's.  On an even
+    model y = +-x^(g+1)(1 + ...) on the two sheets and f, E are monic, so at
+    equal orders the leading coefficients are lc(A) + lc(B) and lc(A) - lc(B):
+    they cancel on one sheet at most, and the larger order is still the
+    maximum over both points.
+    """
     if not F:
         raise DomainError("zero function")
-    degs = [r.num.degree + r.den.degree for r in (F.a, F.b) if r]
-    T = T or 2 * (max(degs) + F.model.genus + 2) + 6
-    for attempt in range(4):
-        worst = None
-        try:
-            for label in F.model.infinite_points():
-                chart = infinite_chart(F.model, label, T)
-                pole = -chart.laurent(F).t_order()
-                worst = pole if worst is None else max(worst, pole)
-            return worst
-        except PrecisionError:
-            T *= 2
-    raise PrecisionError(f"could not resolve the order at infinity below T = {T}")
+    model = F.model
+    n = F.k * model.f.degree + F.E.degree
+    g = model.genus
+    orders = []
+    if model.kind == "even":
+        if F.A:
+            orders.append(F.A.degree - n)
+        if F.B:
+            orders.append(F.B.degree + g + 1 - n)
+    else:
+        if F.A:
+            orders.append(2 * (F.A.degree - n))
+        if F.B:
+            orders.append(2 * (F.B.degree - n) + 2 * g + 1)
+    return max(orders)
 
 
 def ledger_of(F):
-    """Exact pole ledger of F: orders at infinity by expansion, at W by norms.
+    """Exact pole ledger of F from its f-power form.
 
     Entries are signed: positive for poles, negative for certified zeros on
     the whole divisor.
     """
     if not F:
         return PoleLedger(0, 0)
-    min_ord, _ = weierstrass_order_range(F)
-    return PoleLedger(infinity_pole_order(F), -min_ord)
+    return PoleLedger(infinity_pole_order(F), -weierstrass_order(F))
 
 
 def ledger_derivative(ledger, model_kind):

@@ -71,7 +71,7 @@ from .funcfield import (
     chart_for,
     finite_nonweierstrass_pole_degree,
     infinity_pole_order,
-    weierstrass_order_range,
+    weierstrass_order,
 )
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, kappa, valuation
@@ -158,12 +158,13 @@ def uses_order2_shape(spec):
 def polar_degree(F):
     """Degree of the polar divisor of a nonzero CurveFunction.
 
-    Exact at infinity (by expansion) and along W (by the norm); finite
-    non-Weierstrass poles, which enter through rational eta or h parts, are
-    bounded through the denominator degrees.
+    Read from its f-power form (A + B y) / (f^k E): exact at infinity (from
+    the degrees) and along W (from how many times f divides A and B); finite
+    non-Weierstrass poles, which enter through rational eta or h parts in E,
+    are bounded through the degree of E.
     """
     n_inf = infinity_pole_order(F)
-    min_w, _ = weierstrass_order_range(F)
+    min_w = weierstrass_order(F)
     inf_deg = 2 if F.model.kind == "even" else 1
     w_deg = F.model.f.degree
     return (
@@ -296,13 +297,21 @@ def _unwrap(outcome):
 
 
 class _OperatorPlan:
-    """The operator of one affine disk kind, its candidate and polar degree."""
+    """The operator of one affine disk kind, its candidate and polar degree.
+
+    The reduced views of the candidate and of the operator's algebraic
+    coefficients, which the disk expansions and the report read, are built
+    here too, so that no planning work falls into a disk's time.
+    """
 
     def __init__(self, spec, kind):
         self._operator = _attempt(_operator_for_affine, spec, kind)
         self._degree = None
         if not isinstance(self._operator, Exception):
             D, _, _, candidate = self._operator
+            for F in (*(D.coeffs if D is not None else ()), candidate):
+                if isinstance(F, CurveFunction):
+                    F.view()
             if D is None:
                 self._degree = _weierstrass_output_degree(spec.curve)
             elif candidate:

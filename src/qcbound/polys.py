@@ -33,7 +33,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim([Fraction(c) for c in coeffs])
+        self.coeffs = _trim([c if type(c) is Fraction else Fraction(c) for c in coeffs])
 
     @classmethod
     def const(cls, c):

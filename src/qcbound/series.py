@@ -367,9 +367,13 @@ class LaurentSeries:
         return LaurentSeries(self.order, self.series.scale(c))
 
     def inverse(self):
+        """1/self; PrecisionError when no known coefficient is nonzero, since
+        more terms may still show a leading one."""
         norm = self.normalized()
         if not norm.series.coeffs:
-            raise NonUnitError(f"cannot invert: zero to O(t^{self.end})")
+            raise PrecisionError(
+                f"cannot invert: zero to O(t^{self.end})", needed=self.series.truncation + 8
+            )
         return LaurentSeries(-norm.order, norm.series.inverse())
 
     def __truediv__(self, other):

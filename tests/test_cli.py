@@ -202,6 +202,18 @@ class TestPipeline:
         assert code == 1
         assert "ERROR" in capsys.readouterr().out
 
+    def test_T1_reports_needed_T(self, tmp_path, capsys):
+        # at T = 1 the chart's dx/dt is known only as zero to O(t^0): a
+        # precision shortfall with a larger T to retry at, not a non-unit
+        spec = elliptic_spec_file(tmp_path, T=1)
+        out_path = tmp_path / "pipe.json"
+        assert main(["pipeline", "--spec", spec, "--out", str(out_path)]) == 1
+        affine = [d for d in json.loads(out_path.read_text())["disks"] if d["kind"] != "infinite"]
+        assert affine
+        for d in affine:
+            assert d["error"].startswith("insufficient precision")
+            assert d["needed_T"] > 1
+
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["pipeline", "--spec", str(tmp_path / "nope.json")]) == 2
 

@@ -1,10 +1,9 @@
-import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from perfbench_support import perfbench_module, workload_cases
 
 from qcbound import funcfield, pipeline
 from qcbound.coleman import ColemanSpec, DiskConstants
@@ -71,14 +70,6 @@ def affine_json_in_run_and_standalone(spec, result):
     standalone = [result_to_json(PipelineResult([analyze_disk(spec, disk)]))["disks"][0]
                   for disk in affine]
     return in_run, standalone
-
-
-def perfbench_probes():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "probes.py"
-    spec = importlib.util.spec_from_file_location("perfbench_probes", path)
-    probes = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probes)
-    return probes
 
 
 class TestShapes:
@@ -382,7 +373,7 @@ class TestBenchmarkProbeTargets:
     def test_traced_names_still_exist(self):
         # the traced benchmark rebinds these names by string at run time, so a
         # rename or deletion here would break it without any import error
-        probes = perfbench_probes()
+        probes = perfbench_module("probes")
         for name, _ in probes.PIPELINE_CALLS:
             assert callable(getattr(pipeline, name, None)), name
         assert callable(getattr(funcfield, "poly_gcd", None))
@@ -391,7 +382,21 @@ class TestBenchmarkProbeTargets:
         # the benchmark's disk_s_max comes from this wrapper; a run that went
         # round the module global would leave it reading 0 without an error
         monkeypatch.setattr(pipeline, "analyze_disk", pipeline.analyze_disk)   # restored afterwards
-        timer = perfbench_probes().DiskTimer(pipeline)
+        timer = perfbench_module("probes").DiskTimer(pipeline)
         result = run_pipeline(even_quartic_eta_spec())
         analysed = [str(a.disk) for a in result.analyses if "counted jointly" not in a.n_b_method]
         assert [sample[1] for sample in timer.samples] == analysed
+
+
+class TestRecordedReference:
+    @pytest.mark.parametrize("workload", ["genus2_even_p7", "genus1_batch"])
+    def test_json_matches_recorded_reference(self, workload):
+        # the benchmark's correctness gate on generator seed 3: a digest of
+        # result_to_json recorded for every spec, plus the pipeline invariants
+        checks = perfbench_module("checks")
+        reference = checks.load_reference(workload, 3)
+        failures = []
+        for case in workload_cases(workload, 3):
+            result = run_pipeline(case.spec)
+            failures += checks.check_case(case, result, result_to_json(result), reference)
+        assert failures == []

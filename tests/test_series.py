@@ -117,6 +117,13 @@ class TestLaurent:
         prod = a * LaurentSeries(0, S([0, 0, 2, 2], 4))
         assert prod.t_order() == 0
 
+    def test_inverse_of_known_zeros_needs_precision(self):
+        # zero to O(t^2) may still have a leading term further on
+        a = LaurentSeries(-1, S([0, 0, 0], 3))
+        with pytest.raises(PrecisionError) as info:
+            a.inverse()
+        assert info.value.needed > a.series.truncation
+
     def test_derivative(self):
         a = LaurentSeries(-1, S([1, 4, 9], 3))       # t^-1 + 4 + 9t
         d = a.derivative()
