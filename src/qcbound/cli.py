@@ -13,10 +13,9 @@ described in the coleman module.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bounds as bounds_mod
-from .coleman import load_spec_file
+from .coleman import _rational, load_spec_file
 from .diffops import check_nice, weierstrass_annihilator, weierstrass_local_annihilator
 from .errors import DegenerateOperatorError, DomainError, PrecisionError
 from .funcfield import chart_for, default_truncation, weierstrass_chart
@@ -34,22 +33,25 @@ from .padics import Prime
 from .pipeline import analyze_disk, result_to_json, run_pipeline
 
 
+def _coefficients(texts, what):
+    """Curve coefficients from their text forms; DomainError on a malformed one."""
+    return [_rational(c, f"{what} coefficient") for c in texts]
+
+
 def load_curve_file(path):
     with open(path) as fh:
         parts = fh.read().split()
     if len(parts) < 3:
         raise DomainError("curve file needs: kind g c_0 c_1 ... c_deg")
     kind, genus = parts[0], int(parts[1])
-    coeffs = [Fraction(c) for c in parts[2:]]
-    return CurveModel(kind, coeffs, genus=genus)
+    return CurveModel(kind, _coefficients(parts[2:], "curve file"), genus=genus)
 
 
 def curve_from_args(args):
     if getattr(args, "curve", None):
         return load_curve_file(args.curve)
     if getattr(args, "kind", None) and getattr(args, "f", None):
-        coeffs = [Fraction(c) for c in args.f.split(",")]
-        return CurveModel(args.kind, coeffs)
+        return CurveModel(args.kind, _coefficients(args.f.split(","), "--f"))
     raise DomainError("provide --curve FILE or --kind with --f c0,c1,...")
 
 

@@ -115,24 +115,25 @@ def expand_double_integral(f_i, f_j, chart, c_j=Fraction(0), c_ij=Fraction(0)):
 
 
 def expand_G(spec, chart):
-    """The assembled series of G on the chart's disk."""
+    """The assembled series of G on the chart's disk.
+
+    Each basis integrand (omega_j/dt)(t) is built once.  Its antiderivative
+    with the disk constant c_j is the single integral I_j, and row i of the
+    double integrals multiplies the integrand of omega_i by the I_j it
+    needs before integrating, as ``expand_double_integral`` does.
+    """
     consts = spec.constants_for(chart.disk)
-    n = len(spec.basis)
-    singles = [expand_single_integral(spec.basis[j], chart, consts.singles[j]) for j in range(n)]
+    integrands = [_integrand(omega, chart) for omega in spec.basis]
+    singles = [integrand.antiderivative(c) for integrand, c in zip(integrands, consts.singles)]
     out = None
-    for i in range(n):
-        outer = None
-        row = spec.a_matrix[i]
-        if any(row):
-            outer = _integrand(spec.basis[i], chart)
-        for j in range(n):
-            if not row[j]:
-                continue
-            J = (outer * singles[j]).antiderivative(consts.doubles[i][j]).scale(row[j])
-            out = J if out is None else out + J
-    for i in range(n):
-        if spec.a_vector[i]:
-            term = singles[i].scale(spec.a_vector[i])
+    for row, outer, doubles in zip(spec.a_matrix, integrands, consts.doubles):
+        for a, inner, c in zip(row, singles, doubles):
+            if a:
+                J = (outer * inner).antiderivative(c).scale(a)
+                out = J if out is None else out + J
+    for a, single in zip(spec.a_vector, singles):
+        if a:
+            term = single.scale(a)
             out = term if out is None else out + term
     if spec.eta is not None and spec.eta:
         term = expand_single_integral(spec.eta, chart, consts.eta)

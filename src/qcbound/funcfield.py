@@ -36,11 +36,13 @@ or a factorisation of f.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import DomainError, NonUnitError, PoleError
 from .hyperelliptic import DiskDescriptor, _eval_mod, poly_mod, reduce_mod
 from .padics import as_prime, valuation
-from .polys import Poly, poly_gcd, rational_roots
+from .polys import Poly, common_denominator, convolve, poly_gcd, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
 from .series import LaurentSeries, TruncatedSeries, poly_on_series
 
@@ -535,8 +537,21 @@ class DiskChart:
     """A residue disk with its designated local parameter and expansion data.
 
     Holds Laurent expansions of x and y in the parameter t to relative
-    precision T, the valuation map for the coefficient field (an embedding
-    valuation for quadratic lifts), and a cache of powers of x(t).
+    precision T, and the valuation map for the coefficient field (an
+    embedding valuation for quadratic lifts).
+
+    Functions are evaluated on integers.  The chart keeps each power x(t)^k
+    it has used as (order, L_k, X_k): the coefficient of t^(order + i) is
+    X_k[i] / L_k with integers X_k and L_k, known for i < len(X_k).  The
+    powers are built as the ``LaurentSeries`` product x^(k-1) * x builds
+    them (both factors stripped of their leading known zeros), so order and
+    end agree with it.  ``eval_poly`` forms sum_k c_k X_k over one common
+    denominator and makes one ``Fraction`` per output coefficient; the
+    result has the least order and the least end over the powers used, as a
+    chain of ``LaurentSeries`` sums would.  ``eval_rational`` keeps 1/den(t)
+    per denominator polynomial: the same few denominators (powers of f)
+    recur across the functions expanded on one disk.  Both caches live as
+    long as the chart.
     """
 
     def __init__(self, model, disk, T, x_laurent, y_laurent, p=None, embedding=None, center=None, description=""):
@@ -549,8 +564,10 @@ class DiskChart:
         self.embedding = embedding
         self.center = center
         self.description = description
-        self._x_powers = {0: LaurentSeries(0, TruncatedSeries.from_polynomial([1], T)), 1: x_laurent}
         self.dx_dt = x_laurent.derivative()
+        self._x_powers = [(s.order, *common_denominator(s.series.coeffs))
+                          for s in (LaurentSeries(0, TruncatedSeries.one(T)), x_laurent)]
+        self._den_inverses = {}
 
     def valuation_of(self, c):
         if self.embedding is not None:
@@ -570,23 +587,30 @@ class DiskChart:
             return (reduce_mod(c.u, self.p) + reduce_mod(c.v, self.p) * root) % self.p
         return reduce_mod(c, self.p)
 
-    def x_power(self, k):
-        cached = self._x_powers.get(k)
-        if cached is None:
-            cached = self.x_power(k - 1) * self.x
-            self._x_powers[k] = cached
-        return cached
+    def _x_power(self, k):
+        """(order, L, X) of x(t)^k (see the class docstring)."""
+        powers = self._x_powers
+        x_order, x_den, x_ints = _stripped(powers[1])
+        while len(powers) <= k:
+            order, den, ints = _stripped(powers[-1])
+            n = min(len(ints), len(x_ints))
+            powers.append((order + x_order, den * x_den, convolve(ints, x_ints, n)))
+        return powers[k]
 
     def eval_poly(self, poly):
-        acc = None
-        for k, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            term = self.x_power(k).scale(c)
-            acc = term if acc is None else acc + term
-        if acc is None:
+        terms = [(c, self._x_power(k)) for k, c in enumerate(poly.coeffs) if c]
+        if not terms:
             return LaurentSeries(0, TruncatedSeries.zero(self.T))
-        return acc
+        order = min(o for _, (o, _, _) in terms)
+        end = min(o + len(X) for _, (o, _, X) in terms)
+        den = lcm(*(c.denominator * L for c, (_, L, _) in terms))
+        acc = [0] * max(end - order, 0)
+        for c, (o, L, X) in terms:
+            lo, m = o - order, end - o
+            if m > 0:
+                w = c.numerator * (den // (c.denominator * L))
+                acc[lo:lo + m] = map(add, acc[lo:lo + m], map(w.__mul__, X[:m]))
+        return LaurentSeries(order, TruncatedSeries([Fraction(a, den) for a in acc]))
 
     def eval_rational(self, r):
         if not r.num:
@@ -594,7 +618,10 @@ class DiskChart:
         num = self.eval_poly(r.num)
         if r.den.degree == 0:
             return num
-        return num / self.eval_poly(r.den)
+        inverse = self._den_inverses.get(r.den)
+        if inverse is None:
+            inverse = self._den_inverses[r.den] = self.eval_poly(r.den).inverse()
+        return num * inverse
 
     def laurent(self, F):
         """Laurent expansion of a CurveFunction in the local parameter."""
@@ -608,6 +635,14 @@ class DiskChart:
         return self.laurent(F).regular_part(context=f"disk {self.disk}")
 
 
+def _stripped(power):
+    """An (order, L, X) power with its leading zero coefficients moved into
+    the order, as ``LaurentSeries.normalized`` does."""
+    order, den, ints = power
+    j = next((i for i, c in enumerate(ints) if c), len(ints))
+    return (order + j, den, ints[j:]) if j else power
+
+
 def _centered_lift(x_bar, p):
     x_bar %= p
     return x_bar if x_bar <= p // 2 else x_bar - p
@@ -616,13 +651,18 @@ def _centered_lift(x_bar, p):
 _LIFT_SCAN = 3
 
 
-def nonweierstrass_chart(model, disk, p, T):
+def nonweierstrass_chart(model, disk, p, T, units=None):
     """Chart at an affine non-Weierstrass disk.
 
     Scans the lifts x0 of x_bar within _LIFT_SCAN multiples of p of the
     centred one for f(x0) an exact rational square (a Q-rational center);
     otherwise works over Q(sqrt(f(x0))) with the embedding picked so that
     sqrt reduces to y_bar.
+
+    ``units`` is a memo that the disks of one run share: the unit series
+    sqrt(f(x0 + t)/f(x0)) by (x0, T).  The two disks above one x_bar pick
+    the same x0 (y0 = +-r, or sqrt d with two embeddings), so the second
+    takes the series from the memo and drops it there.
     """
     p = as_prime(p)
     if disk.kind != "affine_nonweierstrass":
@@ -656,8 +696,11 @@ def nonweierstrass_chart(model, disk, p, T):
     x0, y0, embedding = chosen
     d = model.f(x0)
     # y(t) = y0 * sqrt(f(x0 + t)/d); the inner series has constant term 1
-    shifted = model.f.compose_shift(x0)
-    unit = TruncatedSeries.from_polynomial([c / d for c in shifted.coeffs], T).sqrt_unit()
+    units = {} if units is None else units
+    unit = units.pop((x0, T), None)
+    if unit is None:
+        shifted = model.f.compose_shift(x0)
+        unit = units[x0, T] = TruncatedSeries.from_polynomial([c / d for c in shifted.coeffs], T).sqrt_unit()
     y_series = unit.scale(y0)
     x_laurent = LaurentSeries(0, TruncatedSeries.from_polynomial([x0, 1], T))
     return DiskChart(
@@ -747,10 +790,11 @@ def infinite_chart(model, label, T, p=None):
     return DiskChart(model, disk, T, x_laurent, y_laurent, p=p, description=desc)
 
 
-def chart_for(model, disk, p, T):
-    """Dispatch a chart construction on the disk kind."""
+def chart_for(model, disk, p, T, units=None):
+    """Dispatch a chart construction on the disk kind; ``units`` is the
+    memo ``nonweierstrass_chart`` shares between the disks of one run."""
     if disk.kind == "affine_nonweierstrass":
-        return nonweierstrass_chart(model, disk, p, T)
+        return nonweierstrass_chart(model, disk, p, T, units)
     if disk.kind == "affine_weierstrass":
         return weierstrass_chart(model, disk, p, T)
     if disk.kind == "infinite":

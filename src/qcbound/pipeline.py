@@ -47,8 +47,10 @@ embedding of sqrt d.  The pair computes once G, the local operator L, D(G)
 and the algebraic certificate.  Each disk still builds its own chart and,
 through its own embedding, takes the niceness valuation scan and the zero
 count.  Centres with a rational
-y0 = +-r give different series and share nothing.  The plan and the shared
-series live for one ``run_pipeline`` call only.
+y0 = +-r give different series and share nothing else.  Every pair, rational
+or quadratic, shares the unit series sqrt(f(x0 + t)/f(x0)) its two charts
+are built from.  The plan and the shared series live for one
+``run_pipeline`` call only.
 """
 
 from dataclasses import dataclass
@@ -332,7 +334,9 @@ class SpecPlan:
 
     Holds the input floor and one ``_OperatorPlan`` per affine disk kind among
     ``disks`` (a single one for every affine disk on the order-2 shape), plus
-    the memo of exact series that a conjugate quadratic pair shares.
+    the memo of exact series that a conjugate quadratic pair shares and the
+    memo of chart unit series that the two disks above one x_bar share
+    (``units``, see ``funcfield.nonweierstrass_chart``).
     """
 
     def __init__(self, spec, disks):
@@ -344,6 +348,7 @@ class SpecPlan:
         else:
             self.operators = {kind: _OperatorPlan(spec, kind) for kind in kinds}
         self._pairs = {}
+        self.units = {}
 
     def exact_series(self, chart):
         """Memo of the exact series on one disk's chart.
@@ -383,7 +388,7 @@ def analyze_disk(spec, disk):
     try:
         if disk.kind == "infinite":
             return _analyze_infinite(spec, disk, ana)
-        chart = chart_for(C, disk, p, spec.T)
+        chart = chart_for(C, disk, p, spec.T, plan.units)
         ana.parameter = chart.description
         ana.lift = str(chart.center)
         planned = plan.operators[disk.kind]

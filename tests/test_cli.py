@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qcbound.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_curve(tmp_path, line, name="curve.txt"):
@@ -55,6 +61,25 @@ class TestCount:
 
     def test_inline_coeffs(self, capsys):
         assert main(["count", "--kind", "odd", "--f", "1,1,0,1", "--p", "5"]) == 0
+
+    def test_inline_zero_denominator_exit_2(self, capsys):
+        assert main(["count", "--kind", "odd", "--f", "1,1/0,0,1", "--p", "5"]) == 2
+        assert "'1/0' is not a rational number" in capsys.readouterr().err
+
+    def test_curve_file_zero_denominator_exit_2(self, tmp_path, capsys):
+        curve = write_curve(tmp_path, "odd 1 1 1/0 0 1")
+        assert main(["count", "--curve", curve, "--p", "5"]) == 2
+        assert "'1/0' is not a rational number" in capsys.readouterr().err
+
+    def test_python_m_qcbound(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcbound", "count", "--kind", "odd", "--f", "1,0,0,1", "--p", "5"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Hasse-Weil window: ok" in proc.stdout
 
 
 class TestBound:

@@ -1,8 +1,10 @@
+import functools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from perfbench_support import workload_cases
 
 from qcbound.coleman import (
     ColemanSpec,
@@ -16,7 +18,7 @@ from qcbound.coleman import (
 )
 from qcbound.diffops import DifferentialOperator, apply_on_chart
 from qcbound.errors import DomainError, PoleError
-from qcbound.funcfield import CurveFunction, nonweierstrass_chart, weierstrass_chart
+from qcbound.funcfield import CurveFunction, chart_for, nonweierstrass_chart, weierstrass_chart
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
 from qcbound.polys import Poly
 from qcbound.series import TruncatedSeries
@@ -159,6 +161,37 @@ class TestExpandG:
                 manual = manual + expand_single_integral(basis[i], chart).scale(v[i])
         assert G.agrees_with(manual, upto=min(G.truncation, manual.truncation))
 
+    @pytest.mark.parametrize("workload", ["genus1_batch", "genus2_even_p7"])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_workload_assembly_matches_constituents(self, workload, seed):
+        # expand_G builds each basis integrand once; the constituent expansions
+        # build theirs per call, and the sums must agree exactly, types included
+        for case in workload_cases(workload, seed):
+            spec = case.spec
+            for disk in residue_disks(spec.curve, spec.p):
+                if disk.kind == "infinite":
+                    continue
+                try:
+                    chart = chart_for(spec.curve, disk, spec.p, spec.T)
+                except DomainError:       # irrational Weierstrass centre
+                    continue
+                consts = spec.constants_for(disk)
+                basis = spec.basis
+                terms = [
+                    expand_double_integral(basis[i], basis[j], chart, consts.singles[j], consts.doubles[i][j]).scale(a)
+                    for i, row in enumerate(spec.a_matrix) for j, a in enumerate(row) if a
+                ]
+                terms += [expand_single_integral(basis[i], chart, consts.singles[i]).scale(a)
+                          for i, a in enumerate(spec.a_vector) if a]
+                if spec.eta:
+                    terms.append(expand_single_integral(spec.eta, chart, consts.eta))
+                if spec.h:
+                    terms.append(chart.expand(spec.h))
+                manual = functools.reduce(TruncatedSeries.__add__, terms)
+                G = expand_G(spec, chart)
+                assert G == manual, (case.spec_id, str(disk))
+                assert [type(c) for c in G.coeffs] == [type(c) for c in manual.coeffs]
+
     def test_linearity_in_matrix(self):
         C = elliptic()
         chart = chart_01(T=10)
@@ -181,8 +214,6 @@ class TestExpandG:
         for disk in residue_disks(C, 5):
             if disk.kind == "infinite":
                 continue
-            from qcbound.funcfield import chart_for
-
             chart = chart_for(C, disk, 5, spec.T)
             G = expand_G(spec, chart)
             DG = apply_on_chart(D, G, chart)

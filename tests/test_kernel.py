@@ -1,10 +1,13 @@
-"""Property tests for the exact integer product kernel.
+"""Property tests for the exact integer product kernel and chart evaluation.
 
 The coefficient-by-coefficient loops the kernel replaced are kept here as the
 reference: every product and inverse must agree with them in value and, for
-series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.
+series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.  So is
+the ``DiskChart.eval_poly`` loop that summed scaled ``LaurentSeries`` powers of
+x(t): evaluation on a chart must agree with it in order and length too.
 """
 
+import functools
 from fractions import Fraction
 from math import lcm
 
@@ -12,10 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcbound.errors import DomainError
+from qcbound.errors import DomainError, PrecisionError
+from qcbound.funcfield import (
+    CurveFunction,
+    RationalFunc,
+    infinite_chart,
+    nonweierstrass_chart,
+    weierstrass_chart,
+)
+from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
 from qcbound.polys import Poly, common_denominator, convolve
 from qcbound.quadext import QuadExt
-from qcbound.series import TruncatedSeries
+from qcbound.series import LaurentSeries, TruncatedSeries
 
 KERNEL = settings(max_examples=150, deadline=None)
 
@@ -182,3 +193,133 @@ class TestSeriesInverse:
     def test_times_inverse_is_one(self, coeffs):
         s = TruncatedSeries(coeffs)
         assert s * s.inverse() == TruncatedSeries.one(len(coeffs))
+
+
+# -- function evaluation on disk charts -------------------------------------------
+
+
+def reference_x_power(chart, k):
+    """x(t)^k as the reference builds it: x^0 = 1, x^1 = x(t), then x^(k-1) * x
+    as LaurentSeries products."""
+    if k == 0:
+        return LaurentSeries(0, TruncatedSeries.from_polynomial([1], chart.T))
+    out = chart.x
+    for _ in range(k - 1):
+        out = out * chart.x
+    return out
+
+
+def reference_eval_poly(chart, poly):
+    acc = None
+    for k, c in enumerate(poly.coeffs):
+        if not c:
+            continue
+        term = reference_x_power(chart, k).scale(c)
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return LaurentSeries(0, TruncatedSeries.zero(chart.T))
+    return acc
+
+
+def reference_eval_rational(chart, r):
+    if not r.num:
+        return LaurentSeries(0, TruncatedSeries.zero(chart.T))
+    num = reference_eval_poly(chart, r.num)
+    if r.den.degree == 0:
+        return num
+    return num / reference_eval_poly(chart, r.den)
+
+
+def reference_laurent(chart, F):
+    out = reference_eval_rational(chart, F.a)
+    if F.b:
+        out = out + reference_eval_rational(chart, F.b) * chart.y
+    return out
+
+
+def genus2_even():
+    return CurveModel("even", Poly([0, -1, 0, 1]) * Poly([2, 0, 0, 1]))
+
+
+@functools.cache
+def eval_charts():
+    """One chart of each kind: rational and Q(sqrt d) non-Weierstrass centres,
+    the Weierstrass centre x_w = 0 (x(t) starts at t^2) and both infinite
+    sheets of an even model, on y^2 = (x^3 - x)(x^3 + 2) at p = 7."""
+    C = genus2_even()
+    charts = {}
+    for disk in residue_disks(C, 7):
+        if disk.kind == "affine_nonweierstrass":
+            chart = nonweierstrass_chart(C, disk, 7, 14)
+            charts.setdefault("quadratic" if chart.embedding else "rational", chart)
+    charts["weierstrass_0"] = weierstrass_chart(C, DiskDescriptor("affine_weierstrass", 0, 0), 7, 16)
+    for label in C.infinite_points():
+        charts[label] = infinite_chart(C, label, 12, p=7)
+    assert sorted(charts) == ["inf+", "inf-", "quadratic", "rational", "weierstrass_0"]
+    return charts
+
+
+def same_laurent(got, expected):
+    """Equal order, length, values and coefficient types."""
+    return (got.order == expected.order and got.series.truncation == expected.series.truncation
+            and got.series.coeffs == expected.series.coeffs
+            and kinds(got.series.coeffs) == kinds(expected.series.coeffs))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the DomainError or PrecisionError it raised."""
+    try:
+        return fn(*args)
+    except (DomainError, PrecisionError) as exc:
+        return type(exc)
+
+
+def agree(got, expected):
+    if isinstance(expected, type):
+        return got is expected
+    return not isinstance(got, type) and same_laurent(got, expected)
+
+
+chart_names = st.sampled_from(["rational", "quadratic", "weierstrass_0", "inf+", "inf-"])
+# x^k * P(x) with k drawn on its own, so that polynomials without the low
+# powers, whose terms all start late on a Weierstrass chart, come up often
+polys = st.builds(lambda k, c: Poly([0] * k + c), st.integers(0, 5), st.lists(small_rationals, max_size=6))
+monic_denominators = st.one_of(
+    st.sampled_from([1, 2, 3]).map(lambda k: functools.reduce(Poly.__mul__, [genus2_even().f] * k)),
+    st.lists(small_rationals, min_size=1, max_size=5).map(lambda c: Poly(c + [1])),
+)
+rational_funcs = st.builds(RationalFunc, polys, monic_denominators)
+
+
+class TestChartEvaluation:
+    @KERNEL
+    @given(chart_names, polys)
+    def test_eval_poly_matches_reference(self, name, poly):
+        chart = eval_charts()[name]
+        assert same_laurent(chart.eval_poly(poly), reference_eval_poly(chart, poly))
+
+    @KERNEL
+    @given(chart_names, rational_funcs)
+    def test_eval_rational_matches_reference(self, name, r):
+        chart = eval_charts()[name]
+        expected = outcome(reference_eval_rational, chart, r)
+        assert agree(outcome(chart.eval_rational, r), expected)
+        assert agree(outcome(chart.eval_rational, r), expected)   # now from the 1/den memo
+
+    @KERNEL
+    @given(chart_names, rational_funcs, rational_funcs)
+    def test_laurent_matches_reference(self, name, a, b):
+        chart = eval_charts()[name]
+        F = CurveFunction(genus2_even(), a, b)
+        assert agree(outcome(chart.laurent, F), outcome(reference_laurent, chart, F))
+
+    def test_denominator_inverted_once_per_chart(self, monkeypatch):
+        inverses = []
+        inverse = LaurentSeries.inverse
+        monkeypatch.setattr(LaurentSeries, "inverse", lambda s: inverses.append(s) or inverse(s))
+        C = genus2_even()
+        disk = next(d for d in residue_disks(C, 7) if d.kind == "affine_nonweierstrass")
+        chart = nonweierstrass_chart(C, disk, 7, 14)
+        for c in range(1, 5):
+            chart.laurent(CurveFunction(C, RationalFunc(Poly([c]), C.f), RationalFunc(Poly([-c]), C.f)))
+        assert len(inverses) == 1

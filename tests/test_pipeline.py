@@ -23,6 +23,7 @@ from qcbound.pipeline import (
     uses_order2_shape,
 )
 from qcbound.polys import Poly
+from qcbound.series import TruncatedSeries
 
 
 def elliptic_spec(f_coeffs, a=Fraction(2), b=Fraction(3), p=5, T=20):
@@ -353,6 +354,18 @@ class TestSpecPlan:
         assert sum(expansions.values()) == len(affine) - shared_pairs
         in_run, standalone = affine_json_in_run_and_standalone(spec, result)
         assert in_run == standalone
+
+    @pytest.mark.parametrize("make_spec", [lambda: elliptic_spec([1, 1, 0, 1]), even_quartic_eta_spec],
+                             ids=["odd_p5", "even_eta_p7"])
+    def test_chart_unit_series_built_once_per_pair(self, monkeypatch, make_spec):
+        # the two disks above one x_bar share sqrt(f(x0 + t)/f(x0)); the
+        # in-run and standalone JSON agree (test_shared_pairs_match_standalone_disks)
+        roots = []
+        sqrt_unit = TruncatedSeries.sqrt_unit
+        monkeypatch.setattr(TruncatedSeries, "sqrt_unit", lambda s: roots.append(s) or sqrt_unit(s))
+        result = run_pipeline(make_spec())
+        nw = [a.disk for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
+        assert len(roots) == len({d.x_bar for d in nw}) == len(nw) // 2
 
     @pytest.mark.parametrize("name", ["nonweierstrass_candidate", "polar_degree"])
     def test_planning_error_reported_on_each_disk(self, monkeypatch, name):
