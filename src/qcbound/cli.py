@@ -16,7 +16,7 @@ import sys
 
 from . import bounds as bounds_mod
 from .coleman import _rational, load_spec_file
-from .diffops import check_nice, weierstrass_annihilator, weierstrass_local_annihilator
+from .diffops import check_nice, weierstrass_annihilator, weierstrass_local_annihilator, weierstrass_orders
 from .errors import DegenerateOperatorError, DomainError, PrecisionError
 from .funcfield import chart_for, default_truncation, weierstrass_chart
 from .hyperelliptic import (
@@ -158,8 +158,8 @@ def cmd_operator(args):
     q = curve.basis_size
     print(f"non-Weierstrass disks: D = (d/dx)^{q} (d/omega_0), order {q + 1}")
     D1 = weierstrass_annihilator(curve, p=p)
-    print(f"Weierstrass operator D_1: order {D1.order} "
-          f"(d/omega_0 powers 0, 2, ..., {D1.order - 1}, {D1.order})")
+    orders = ", ".join(map(str, weierstrass_orders(curve)))
+    print(f"Weierstrass operator D_1: order {D1.order} (d/omega_0 powers {orders})")
     wdisks = [d for d in residue_disks(curve, p) if d.kind == "affine_weierstrass"]
     if not wdisks:
         print("no affine Weierstrass disks at this prime")

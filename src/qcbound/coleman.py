@@ -31,7 +31,7 @@ from .funcfield import (
     finite_nonweierstrass_pole_degree,
     ledger_of,
 )
-from .hyperelliptic import CurveModel
+from .hyperelliptic import CurveModel, residue_disks
 from .padics import Prime, as_prime
 from .polys import Poly
 from .series import TruncatedSeries
@@ -84,6 +84,14 @@ class ColemanSpec:
                 raise DomainError(
                     f"h has ledger {led}, outside the allowed space O({cap}*infinity)"
                 )
+        if self.constants:
+            disks = {str(d) for d in residue_disks(self.curve, self.p)}
+            for key in self.constants:
+                if key not in disks:
+                    raise DomainError(
+                        f"constants key {key!r} is not a residue disk of this curve mod "
+                        f"{int(self.p)}; keys are written (x,y), inf, inf+ or inf-"
+                    )
 
     def constants_for(self, disk):
         n = len(self.basis)
@@ -117,14 +125,20 @@ def expand_double_integral(f_i, f_j, chart, c_j=Fraction(0), c_ij=Fraction(0)):
 def expand_G(spec, chart):
     """The assembled series of G on the chart's disk.
 
-    Each basis integrand (omega_j/dt)(t) is built once.  Its antiderivative
-    with the disk constant c_j is the single integral I_j, and row i of the
-    double integrals multiplies the integrand of omega_i by the I_j it
-    needs before integrating, as ``expand_double_integral`` does.
+    Each basis integrand (omega_j/dt)(t) that some term uses is built once.
+    Its antiderivative with the disk constant c_j is the single integral I_j,
+    and row i of the double integrals multiplies the integrand of omega_i by
+    the I_j it needs before integrating, as ``expand_double_integral`` does.
     """
     consts = spec.constants_for(chart.disk)
-    integrands = [_integrand(omega, chart) for omega in spec.basis]
-    singles = [integrand.antiderivative(c) for integrand, c in zip(integrands, consts.singles)]
+    # omega_j is an outer integrand when row j is used, and I_j is needed when
+    # column j or a_vector[j] is
+    as_outer = [any(row) for row in spec.a_matrix]
+    as_inner = [any(col) or a for col, a in zip(zip(*spec.a_matrix), spec.a_vector)]
+    integrands = [_integrand(omega, chart) if o or i else None
+                  for omega, o, i in zip(spec.basis, as_outer, as_inner)]
+    singles = [integrand.antiderivative(c) if i else None
+               for integrand, i, c in zip(integrands, as_inner, consts.singles)]
     out = None
     for row, outer, doubles in zip(spec.a_matrix, integrands, consts.doubles):
         for a, inner, c in zip(row, singles, doubles):

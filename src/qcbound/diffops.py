@@ -433,15 +433,21 @@ def compose_with_base(D1, base, chart=None):
     return DifferentialOperator(out, base="dx")
 
 
-def weierstrass_annihilator(model, p=None, T=None):
+def weierstrass_orders(model):
+    """S = {0, 2, ..., 2(m-1), 2m-1}, the derivative orders of the Weierstrass
+    annihilators of 1, x, ..., x^(m-1); m = 2g+1 on even models, 2g on odd."""
+    m = model.basis_size
+    return [2 * i for i in range(m)] + [2 * m - 1]
+
+
+def weierstrass_annihilator(model, p=None):
     """The all-Weierstrass-disks annihilator of 1, x, ..., x^(m-1).
 
-    m = 2g+1 on even models, 2g on odd models; the derivative orders are
-    S = {0, 2, ..., 2(m-1), 2m-1} with respect to d/omega_0, so the leading
-    coefficient is (up to sign) det B with B the even-order derivative matrix.
-    When p is given, det B is verified to be a unit at every Weierstrass disk;
-    a zero reduction would contradict the unit lemma and raises a bug-trap
-    error.
+    The derivative orders are S = ``weierstrass_orders(model)`` with respect
+    to d/omega_0, so the leading coefficient is (up to sign) det B with B the
+    even-order derivative matrix.  When p is given, det B is verified to be a
+    unit at every Weierstrass disk; a zero reduction would contradict the unit
+    lemma and raises a bug-trap error.
     """
     m = model.basis_size
     funcs = []
@@ -450,8 +456,7 @@ def weierstrass_annihilator(model, p=None, T=None):
     for _ in range(m):
         funcs.append(cur)
         cur = cur * x
-    S = [2 * i for i in range(m)] + [2 * m - 1]
-    D1 = build_annihilator(S, funcs, base="omega0")
+    D1 = build_annihilator(weierstrass_orders(model), funcs, base="omega0")
     if p is not None:
         _verify_unit_on_weierstrass(D1, model, p)
     return D1
@@ -479,8 +484,7 @@ def weierstrass_local_annihilator(chart):
     for _ in range(m):
         funcs.append(cur)
         cur = cur * x_series
-    S = [2 * i for i in range(m)] + [2 * m - 1]
-    return build_annihilator(S, funcs, base="dx")
+    return build_annihilator(weierstrass_orders(model), funcs, base="dx")
 
 
 def _verify_unit_on_weierstrass(D1, model, p):

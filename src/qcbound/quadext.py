@@ -1,19 +1,20 @@
 """Exact arithmetic in Q(sqrt(d)) together with a p-adic embedding.
 
 Residue-disk centers whose y-coordinate is not rational are lifted into a
-quadratic extension and represented as pairs u + v*sqrt(d) of exact rationals
-(d a fixed non-square rational).  To take Newton polygons of series with such
-coefficients we need the p-adic valuation along a chosen embedding
-Q(sqrt(d)) -> Q_p, i.e. a choice of square root of d in Z_p; the embedding
-fixes that choice by its residue mod p and computes valuations exactly by
-Hensel-lifting the root to enough p-adic digits.
+quadratic extension (d a fixed non-square rational).  Each value has one
+form: a rational value is a ``Fraction``, and any other is a ``QuadExt``
+u + v*sqrt(d) of exact rationals with v != 0.  To take Newton polygons of
+series with such coefficients we need the p-adic valuation along a chosen
+embedding Q(sqrt(d)) -> Q_p, i.e. a choice of square root of d in Z_p; the
+embedding fixes that choice by its residue mod p and computes valuations
+exactly by Hensel-lifting the root to enough p-adic digits.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError
-from .padics import INFINITY, valuation
+from .padics import valuation
 
 
 def rational_sqrt(x):
@@ -29,32 +30,37 @@ def rational_sqrt(x):
 
 
 class QuadExt:
-    """u + v*sqrt(d) with exact rational u, v and fixed non-square d."""
+    """u + v*sqrt(d) with exact rational u, v, v != 0, and fixed non-square d.
+
+    A value of Q(sqrt(d)) that is rational is a ``Fraction``: the constructor
+    returns ``Fraction(u)`` when v = 0, and so does every operation whose
+    result has no sqrt(d) part.  Operands over distinct fields raise
+    DomainError.
+    """
 
     __slots__ = ("u", "v", "d")
 
-    def __init__(self, u, v, d):
+    def __new__(cls, u, v, d):
+        v = Fraction(v)
+        if not v:
+            return Fraction(u)
+        self = object.__new__(cls)
         self.u = Fraction(u)
-        self.v = Fraction(v)
+        self.v = v
         self.d = Fraction(d)
+        return self
+
+    def __getnewargs__(self):   # pickle and copy call __new__ with these
+        return self.u, self.v, self.d
 
     # -- structure -----------------------------------------------------------
 
-    def __bool__(self):
-        return bool(self.u) or bool(self.v)
-
     def __eq__(self, other):
-        if isinstance(other, QuadExt):
-            if self.d != other.d and self.v and other.v:
-                return NotImplemented
-            return self.u == other.u and self.v == other.v
-        if isinstance(other, (int, Fraction)):
-            return not self.v and self.u == other
-        return NotImplemented
+        if not isinstance(other, QuadExt):
+            return NotImplemented
+        return self.u == other.u and self.v == other.v and self.d == other.d
 
     def __hash__(self):
-        if not self.v:
-            return hash(self.u)
         return hash((self.u, self.v, self.d))
 
     def conjugate(self):
@@ -65,24 +71,21 @@ class QuadExt:
 
     # -- field operations ------------------------------------------------------
 
-    def _coerce(self, other):
-        """(other as a QuadExt, the d of the result), or (None, None) for a
-        foreign type.  An operand with v = 0 takes the other operand's field."""
+    def _parts(self, other):
+        """(u, v) of other in this field, or None for a foreign type."""
         if isinstance(other, QuadExt):
-            if other.d == self.d or not other.v:
-                return other, self.d
-            if self.v:
+            if other.d != self.d:
                 raise DomainError("mixing distinct quadratic extensions")
-            return other, other.d
+            return other.u, other.v
         if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d), self.d
-        return None, None
+            return other, 0
+        return None
 
     def __add__(self, other):
-        other, d = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadExt(self.u + other.u, self.v + other.v, d)
+        return QuadExt(self.u + parts[0], self.v + parts[1], self.d)
 
     __radd__ = __add__
 
@@ -90,35 +93,33 @@ class QuadExt:
         return QuadExt(-self.u, -self.v, self.d)
 
     def __sub__(self, other):
-        other, d = self._coerce(other)
-        if other is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadExt(self.u - other.u, self.v - other.v, d)
+        return QuadExt(self.u - parts[0], self.v - parts[1], self.d)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other, d = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.u * other, self.v * other, self.d)
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadExt(
-            self.u * other.u + self.d * self.v * other.v,
-            self.u * other.v + self.v * other.u,
-            d,
-        )
+        u, v = parts
+        return QuadExt(self.u * u + self.d * self.v * v, self.u * v + self.v * u, self.d)
 
     __rmul__ = __mul__
 
     def inverse(self):
         n = self.norm()
-        if not n:
-            raise ZeroDivisionError("zero element of Q(sqrt(d))")
         return QuadExt(self.u / n, -self.v / n, self.d)
 
     def __truediv__(self, other):
-        other, _ = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(self.u / other, self.v / other, self.d)
+        if not isinstance(other, QuadExt):
             return NotImplemented
         return self * other.inverse()
 
@@ -126,8 +127,6 @@ class QuadExt:
         return self.inverse() * other
 
     def __repr__(self):
-        if not self.v:
-            return f"{self.u}"
         return f"({self.u} + {self.v}*sqrt({self.d}))"
 
 
@@ -183,14 +182,8 @@ class PAdicSqrtEmbedding:
         """Exact p-adic valuation of xi in Q_p along this embedding."""
         if isinstance(xi, (int, Fraction)):
             return valuation(xi, self.p)
-        if xi.d != self.d and xi.v:
+        if xi.d != self.d:
             raise DomainError("element lies in a different extension")
-        if not xi:
-            return INFINITY
-        if not xi.v:
-            return valuation(xi.u, self.p)
-        if not xi.u:
-            return valuation(xi.v, self.p)
         p = self.p
         m = min(valuation(xi.u, p), valuation(xi.v, p))
         scale = Fraction(p) ** -m

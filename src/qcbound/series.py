@@ -4,19 +4,19 @@ A ``TruncatedSeries`` stores exact coefficients c_0 .. c_{T-1} and means "the
 series is known modulo t^T".  Arithmetic tracks precision: sums and products
 hold the minimum of the operand truncations, differentiation loses one order,
 formal integration gains one.  Coefficients are ``Fraction`` (an ``int`` is
-read as one) or ``quadext.QuadExt``; valuation-dependent operations take a
-valuation callable for that reason.
+read as one) or ``quadext.QuadExt``, whose sqrt(d) part is never zero;
+valuation-dependent operations take a valuation callable for that reason.
 
 Products and inverses run on integers.  A product writes each factor over its
 least common denominator (a Q(sqrt d) factor as two integer lists, rational
 and sqrt(d) parts) and takes one ``polys.convolve`` per integer product;
 (u + v sqrt d)(u' + v' sqrt d) = (uu' + d vv') + (uv' + vu') sqrt d takes
-three.  Coefficient k of a product is a ``QuadExt`` exactly when some nonzero
-pair a_i, b_(k-i) has a ``QuadExt`` factor.  An inverse runs the recurrence
-1/S = sum_m W_m t^m / S_0^(m+1), W_0 = 1, W_m = -sum_k S_k S_0^(k-1) W_(m-k),
-on the integer numerators S of a rational series, and 1/s = conj(s) /
-(s conj(s)) over Q(sqrt d), where s conj(s) is rational.  Every coefficient
-that comes back is a normalised ``Fraction`` or a ``QuadExt`` of two.
+three.  An inverse runs the recurrence 1/S = sum_m W_m t^m / S_0^(m+1),
+W_0 = 1, W_m = -sum_k S_k S_0^(k-1) W_(m-k), on the integer numerators S of
+a rational series, and 1/s = conj(s) / (s conj(s)) over Q(sqrt d), where
+s conj(s) is rational.  A coefficient of any result is a ``Fraction`` exactly
+when it is rational, because ``QuadExt`` returns one when the sqrt(d) part
+cancels; no operation here inspects or changes coefficient types.
 
 Newton polygons are lower convex hulls of the points (i, v(c_i)).  Because
 only finitely many coefficients are known, the slope <= -1 part of the hull
@@ -156,23 +156,22 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
     def inverse(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Over Q(sqrt d) it is conj(s) / (s conj(s)): the coefficients of
+        s conj(s) come back as Fractions, so both products run on the kernel.
+        """
         if not self.coeffs:
             raise PrecisionError("cannot invert a precision-0 series", needed=1)
         coeffs = self.coeffs
         if not coeffs[0]:
             raise NonUnitError("series with zero constant term is not invertible")
-        first = next((i for i, c in enumerate(coeffs) if isinstance(c, QuadExt)), None)
-        if first is None:
+        if not any(isinstance(c, QuadExt) for c in coeffs):
             return TruncatedSeries(_rational_inverse(coeffs))
         # 1/s = conj(s) / (s * conj(s)), and s * conj(s) has rational coefficients
         conj = [c.conjugate() if isinstance(c, QuadExt) else c for c in coeffs]
-        norm = [c.u if isinstance(c, QuadExt) else c for c in _product(coeffs, conj, len(coeffs))]
-        out = _product(conj, _rational_inverse(norm), len(coeffs))
-        # coefficient k lies in Q(sqrt d) once some c_i with i <= k does
-        d = coeffs[first].d
-        return TruncatedSeries(out[:first] + [c if isinstance(c, QuadExt) else QuadExt(c, 0, d)
-                                              for c in out[first:]])
+        norm = _product(coeffs, conj, len(coeffs))
+        return TruncatedSeries(_product(conj, _rational_inverse(norm), len(coeffs)))
 
     def compose(self, inner):
         """self(inner(t)); inner must have zero constant term."""
@@ -205,15 +204,15 @@ class TruncatedSeries:
 def _product(a, b, n):
     """First n coefficients of the product of two coefficient sequences.
 
-    Coefficient k is a QuadExt exactly when some nonzero pair a_i, b_(k-i)
-    has a QuadExt factor, and a Fraction otherwise.
+    Rational factors take one integer product.  Otherwise every ``QuadExt``
+    coefficient must lie in one field Q(sqrt d), and the product takes three
+    (two when one factor is rational).  Each coefficient k is built as a
+    ``QuadExt``, which is a ``Fraction`` when its sqrt(d) part is zero.
     """
     a, b = a[:n], b[:n]
-    quad_a = [i for i, c in enumerate(a) if isinstance(c, QuadExt)]
-    quad_b = [j for j, c in enumerate(b) if isinstance(c, QuadExt)]
-    if not quad_a and not quad_b:
+    fields = {c.d for c in (*a, *b) if isinstance(c, QuadExt)}
+    if not fields:
         return rational_convolve(a, b, n)
-    fields = {a[i].d for i in quad_a} | {b[j].d for j in quad_b}
     if len(fields) > 1:
         raise DomainError("product of series over distinct quadratic extensions")
     d = fields.pop()
@@ -230,18 +229,7 @@ def _product(a, b, n):
         u_den *= d.denominator
     else:
         uv = convolve(va, ub, n) if any(va) else convolve(ua, vb, n)
-    # bit k of quad: some nonzero pair a_i, b_(k-i) with a QuadExt factor
-    nonzero_a = sum(1 << i for i, c in enumerate(a) if c)
-    nonzero_b = sum(1 << j for j, c in enumerate(b) if c)
-    quad = 0
-    for i in quad_a:
-        if a[i]:
-            quad |= nonzero_b << i
-    for j in quad_b:
-        if b[j]:
-            quad |= nonzero_a << j
-    return [QuadExt(Fraction(x, u_den), Fraction(y, den), d) if quad >> k & 1
-            else Fraction(x, u_den) for k, (x, y) in enumerate(zip(uu, uv))]
+    return [QuadExt(Fraction(x, u_den), Fraction(y, den), d) for x, y in zip(uu, uv)]
 
 
 def _split(coeffs):

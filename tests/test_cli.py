@@ -151,6 +151,13 @@ class TestOperator:
         assert code == 0
         assert "det(B)" in out
         assert "nice: True" in out
+        assert "d/omega_0 powers 0, 2, 4, 6, 8, 9)" in out
+
+    def test_genus1_odd_orders(self, capsys):
+        # S = {0, 2, 3} for m = 2g = 2
+        assert main(["operator", "--kind", "odd", "--f", "1,1,0,1", "--p", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "Weierstrass operator D_1: order 3 (d/omega_0 powers 0, 2, 3)" in out
 
 
 class TestAnalyzeDisk:
@@ -254,15 +261,31 @@ class TestPipeline:
             {**elliptic_spec_data(), "p": [5]},
             {**elliptic_spec_data(), "p": 7.9},
             {**elliptic_spec_data(), "T": True},
+            {**elliptic_spec_data(), "constants": {"(0, 1)": {}}},
+            {**elliptic_spec_data(), "constants": {"(9,9)": {}}},
         ],
         ids=[
             "a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short",
-            "p_null", "p_list", "p_float", "T_bool",
+            "p_null", "p_list", "p_float", "T_bool", "constants_key_spaced", "constants_key_no_disk",
         ],
     )
     def test_malformed_spec_exit_2(self, tmp_path, capsys, data):
         assert main(["pipeline", "--spec", write_spec(tmp_path, data)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("key", ["(0, 1)", "(9,9)", "inf+"])
+    @pytest.mark.parametrize("command", ["pipeline", "analyze-disk"])
+    def test_constants_key_not_a_disk_exit_2(self, tmp_path, capsys, command, key):
+        spec = write_spec(tmp_path, {**elliptic_spec_data(), "constants": {"(0,1)": {}, key: {}}})
+        argv = {
+            "pipeline": ["pipeline", "--spec", spec],
+            "analyze-disk": ["analyze-disk", "--spec", spec, "--p", "5", "--disk", "0,1"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: constants key {key!r} is not a residue disk")
+        assert "(x,y), inf, inf+ or inf-" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("disk", ["0,1", "2,5"])
     def test_analyze_disk_prime_mismatch_exit_2(self, tmp_path, capsys, disk):

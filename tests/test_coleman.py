@@ -8,6 +8,7 @@ from perfbench_support import workload_cases
 
 from qcbound.coleman import (
     ColemanSpec,
+    DiskConstants,
     certify_algebraic,
     default_basis,
     expand_double_integral,
@@ -192,6 +193,29 @@ class TestExpandG:
                 assert G == manual, (case.spec_id, str(disk))
                 assert [type(c) for c in G.coeffs] == [type(c) for c in manual.coeffs]
 
+    def test_builds_only_the_integrands_in_use(self, monkeypatch):
+        # a_matrix[0][1] and a_vector[1] use omega_0 as an outer integrand and
+        # I_1 as an inner one; omega_2 is never built
+        import qcbound.coleman as coleman
+
+        C = CurveModel("even", [2, 1, 0, 0, 1])
+        spec = ColemanSpec(curve=C, p=7, a_matrix=[[0, 1, 0], [0, 0, 0], [0, 0, 0]], a_vector=[0, 1, 0], T=16)
+        built = []
+        integrand = coleman._integrand
+        monkeypatch.setattr(coleman, "_integrand", lambda f, chart: built.append(f) or integrand(f, chart))
+        charts = 0
+        for disk in residue_disks(C, 7):
+            if disk.kind == "infinite":
+                continue
+            chart = chart_for(C, disk, 7, 16)
+            built.clear()
+            G = expand_G(spec, chart)
+            assert built == spec.basis[:2]
+            omega_0, omega_1 = spec.basis[:2]
+            assert G == expand_double_integral(omega_0, omega_1, chart) + expand_single_integral(omega_1, chart)
+            charts += 1
+        assert charts == 10
+
     def test_linearity_in_matrix(self):
         C = elliptic()
         chart = chart_01(T=10)
@@ -264,6 +288,17 @@ class TestSpecFiles:
         assert spec.constants_for(DiskDescriptor("affine_nonweierstrass", 0, 1)).singles[0] == Fraction(1, 2)
         # unlisted disks default to zero constants
         assert spec.constants_for(DiskDescriptor("affine_nonweierstrass", 3, 1)).singles == [0, 0]
+
+    def test_constants_keys_name_residue_disks(self):
+        # the Python API checks the keys as the spec files do
+        zero = DiskConstants([0, 0], [[0, 0], [0, 0]])
+        spec = ColemanSpec(curve=elliptic(), p=5, a_matrix=[[1, 0], [0, 0]], a_vector=[0, 0],
+                           constants={"(0,1)": zero, "inf": zero})
+        assert spec.constants_for(DiskDescriptor("affine_nonweierstrass", 0, 1)) is zero
+        for key in ("(0, 1)", "(9,9)", "inf-"):
+            with pytest.raises(DomainError, match="is not a residue disk of this curve mod 5"):
+                ColemanSpec(curve=elliptic(), p=5, a_matrix=[[1, 0], [0, 0]], a_vector=[0, 0],
+                            constants={key: zero})
 
     def test_dimension_validation(self):
         with pytest.raises(DomainError):

@@ -2,7 +2,9 @@
 
 The coefficient-by-coefficient loops the kernel replaced are kept here as the
 reference: every product and inverse must agree with them in value and, for
-series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.  So is
+series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.  Every
+coefficient that a series operation returns over Q(sqrt d) is in normal form:
+a ``Fraction`` when it is rational, else a ``QuadExt`` with v != 0.  So is
 the ``DiskChart.eval_poly`` loop that summed scaled ``LaurentSeries`` powers of
 x(t): evaluation on a chart must agree with it in order and length too.
 """
@@ -81,6 +83,11 @@ def kinds(coeffs):
     return [(type(c), c.d if isinstance(c, QuadExt) else None) for c in coeffs]
 
 
+def normal_form(coeffs):
+    """Each coefficient a Fraction, or a QuadExt with a nonzero sqrt(d) part."""
+    return all(type(c) is Fraction or (type(c) is QuadExt and c.v) for c in coeffs)
+
+
 # -- strategies -----------------------------------------------------------------
 
 big_ints = st.one_of(st.integers(-9, 9), st.integers(-(2 ** 200), 2 ** 200))
@@ -90,13 +97,20 @@ FIELDS = [Fraction(2), Fraction(6), Fraction(60), Fraction(5, 3)]
 
 
 def quadratic_coefficients(d):
-    """Fractions mixed with elements of Q(sqrt d), zero and v = 0 ones included."""
+    """Fractions mixed with elements of Q(sqrt d).  The sqrt(d) parts are
+    drawn from a few values, so that sums and products often cancel them."""
     return st.one_of(
         small_rationals,
+        st.builds(QuadExt, small_rationals, st.sampled_from([-1, 1, Fraction(1, 2)]), st.just(d)),
         st.builds(QuadExt, small_rationals, small_rationals, st.just(d)),
-        st.builds(QuadExt, small_rationals, st.just(0), st.just(d)),
-        st.just(QuadExt(0, 0, d)),
     )
+
+
+@st.composite
+def quadratic_series(draw):
+    """(d, coefficient list) over one field Q(sqrt d)."""
+    d = draw(st.sampled_from(FIELDS))
+    return d, draw(st.lists(quadratic_coefficients(d), max_size=10))
 
 
 @st.composite
@@ -171,12 +185,56 @@ class TestSeriesProduct:
         expected = reference_series_mul(a, b)
         assert list(got) == expected
         assert kinds(got) == kinds(expected)
+        assert normal_form(got)
+
+    @KERNEL
+    @given(quadratic_pairs())
+    def test_sum_matches_reference(self, pair):
+        a, b = pair
+        got = (TruncatedSeries(a) + TruncatedSeries(b)).coeffs
+        expected = [x + y for x, y in zip(a, b)]
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+        assert normal_form(got)
+
+    @KERNEL
+    @given(quadratic_series(), small_rationals, small_rationals)
+    def test_scale_matches_reference(self, series, u, v):
+        d, coeffs = series
+        c = QuadExt(u, v, d)
+        got = TruncatedSeries(coeffs).scale(c).coeffs
+        expected = [c * x for x in coeffs]
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+        assert normal_form(got)
+
+    @KERNEL
+    @given(quadratic_series())
+    def test_derivative_and_antiderivative_match_reference(self, series):
+        _, coeffs = series
+        s = TruncatedSeries(coeffs)
+        if coeffs:
+            derivative = s.derivative().coeffs
+            assert list(derivative) == [i * coeffs[i] for i in range(1, len(coeffs))]
+            assert normal_form(derivative)
+        integral = s.antiderivative().coeffs
+        assert list(integral) == [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
+        assert normal_form(integral)
 
     def test_distinct_fields_raise(self):
         a = TruncatedSeries([QuadExt(1, 1, 2), Fraction(1)])
-        b = TruncatedSeries([QuadExt(1, 0, 3), Fraction(1)])
+        b = TruncatedSeries([QuadExt(1, 1, 3), Fraction(1)])
         with pytest.raises(DomainError):
             a * b
+
+    def test_rational_factor_takes_the_other_field(self):
+        # QuadExt(1, 0, 3) is the Fraction 1, so it multiplies Q(sqrt 2) values
+        # as it does in a scalar product
+        a = [QuadExt(1, 1, 2), Fraction(1)]
+        b = [QuadExt(1, 0, 3), Fraction(2)]
+        got = (TruncatedSeries(a) * TruncatedSeries(b)).coeffs
+        assert list(got) == [a[0] * b[0], a[0] * b[1] + a[1] * b[0]] == [QuadExt(1, 1, 2), QuadExt(3, 2, 2)]
+        assert (TruncatedSeries(b) * TruncatedSeries(a)).coeffs == got
 
 
 class TestSeriesInverse:
@@ -187,6 +245,7 @@ class TestSeriesInverse:
         expected = reference_inverse(coeffs)
         assert list(got) == expected
         assert kinds(got) == kinds(expected)
+        assert normal_form(got)
 
     @KERNEL
     @given(st.one_of(unit_series(quadratic=False), unit_series(quadratic=True)))

@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcbound.errors import DomainError
 from qcbound.padics import INFINITY
@@ -58,6 +62,57 @@ class TestQuadExtField:
             assert (got.u, got.v, got.d) == (1, 1, 3)
         got = a - QuadExt(0, 1, 3)
         assert (got.u, got.v, got.d) == (1, -1, 3)
+
+
+rationals = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+FIELDS = [Fraction(2), Fraction(60), Fraction(5, 3)]
+
+
+@st.composite
+def field_elements(draw, count):
+    """``count`` elements of one field Q(sqrt d): Fractions and QuadExts whose
+    sqrt(d) parts come from a few values, so that results often cancel them."""
+    d = draw(st.sampled_from(FIELDS))
+    element = st.one_of(
+        rationals,
+        st.builds(QuadExt, rationals, st.sampled_from([-2, -1, 1, 2, Fraction(1, 3)]), st.just(d)),
+    )
+    return [draw(element) for _ in range(count)]
+
+
+def in_normal_form(x):
+    return type(x) is Fraction or (type(x) is QuadExt and x.v != 0)
+
+
+class TestNormalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(rationals, st.integers(-50, 50)), st.sampled_from(FIELDS))
+    def test_zero_sqrt_part_is_a_fraction(self, u, d):
+        x = QuadExt(u, 0, d)
+        assert type(x) is Fraction and x == u
+
+    @settings(max_examples=300, deadline=None)
+    @given(field_elements(2))
+    def test_results_are_in_normal_form(self, pair):
+        a, b = pair
+        results = [a + b, a - b, a * b, b + a, b - a, b * a, -a]
+        if b:
+            results.append(a / b)
+        for x in pair:
+            if isinstance(x, QuadExt):
+                results += [x.inverse(), x.conjugate(), 1 / x, x * x.conjugate()]
+        assert all(in_normal_form(x) for x in results)
+
+    def test_pickle_and_copy(self):
+        a = QuadExt(Fraction(1, 2), -3, 5)
+        for b in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert type(b) is QuadExt and b == a
+
+    def test_cancellation_gives_fractions(self):
+        a = QuadExt(1, 1, 2)
+        for x in (a - a, a + a.conjugate(), a * a.conjugate(), a * a.inverse(), a - QuadExt(0, 1, 2)):
+            assert type(x) is Fraction
+        assert QuadExt(3, 2, 5) / 2 == QuadExt(Fraction(3, 2), 1, 5)
 
 
 class TestEmbedding:
