@@ -199,6 +199,17 @@ def per_disk_bound(n_b, order, p, floor_val=0, val=None):
     return max(0, strict_integer_bound(raw))
 
 
+def ledger_degrees(g):
+    """Ledger degrees a zero count falls back to, by ``degree_ledger`` case:
+    the 'hyper_nonW' output degree and the 'hyper_W' and 'integral_W'
+    Weierstrass constants.  Valid for every g >= 1: the pipeline reads g = 1."""
+    return {
+        "hyper_nonW": 2 * (g + 1) + (4 * g + 1) * (2 * g + 2),
+        "hyper_W": 2 * (4 * g**3 + 24 * g**2 - 2 * g + 4),
+        "integral_W": 8 * g**3 + 36 * g**2 - 38 * g + 13,
+    }
+
+
 def degree_ledger(g, case):
     """Intermediate coefficient-space and output-space degrees from the proofs.
 
@@ -208,6 +219,7 @@ def degree_ledger(g, case):
     """
     if g < 2:
         raise DomainError("degree ledger requires genus >= 2")
+    degrees = ledger_degrees(g)
     if case == "general":
         final = (8 * g**2 + 11 * g - 3) * (2 * g - 2) + 3 * (3 * g**2 + 3 * g + 1)
         return {
@@ -222,15 +234,15 @@ def degree_ledger(g, case):
     if case == "hyper_nonW":
         return {
             "output_space": {"inf": g + 1, "W": 4 * g + 1},
-            "output_degree": 2 * (g + 1) + (4 * g + 1) * (2 * g + 2),
+            "output_degree": degrees["hyper_nonW"],
             "both_sheets_constant": 16 * g**2 + 24 * g + 8,
             "operator_order": 2 * g + 2,
         }
     if case == "hyper_W":
         return {
             "coefficient_space_inf": 4 * g**3 + 8 * g**2 + 2 * g,
-            "output_space_inf": 4 * g**3 + 24 * g**2 - 2 * g + 4,
-            "weierstrass_constant": (4 * g + 2, 2 * (4 * g**3 + 24 * g**2 - 2 * g + 4)),
+            "output_space_inf": degrees["hyper_W"] // 2,
+            "weierstrass_constant": (4 * g + 2, degrees["hyper_W"]),
             "operator_order": 4 * g + 2,
         }
     if case == "integral_nonW":
@@ -242,8 +254,8 @@ def degree_ledger(g, case):
     if case == "integral_W":
         return {
             "coefficient_space_inf": 8 * g**3 + 4 * g**2 - 6 * g + 1,
-            "output_space_inf": 8 * g**3 + 36 * g**2 - 38 * g + 13,
-            "weierstrass_constant": (4 * g, 8 * g**3 + 36 * g**2 - 38 * g + 13),
+            "output_space_inf": degrees["integral_W"],
+            "weierstrass_constant": (4 * g, degrees["integral_W"]),
             "operator_order": 4 * g,
         }
     raise DomainError(f"unknown ledger case {case!r}")

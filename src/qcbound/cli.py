@@ -1,7 +1,9 @@
 """Command-line driver: counting, bounds, operators, disk analysis, pipeline.
 
 Exit codes: 0 success, 1 precision or degeneracy failures, 2 invalid input
-(including unmet hypotheses and missing attestations).  All output is
+(including unmet hypotheses, missing attestations and unopenable files).  A
+closed stdout (``qcbound ... | head``) exits 1 silently, by the SIGPIPE recipe
+of the Python docs: stdout is pointed at os.devnull.  All output is
 deterministic for fixed inputs: tables use fixed ordering and the JSON
 reports are dumped with sorted keys.
 
@@ -12,10 +14,11 @@ described in the coleman module.
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
-from .coleman import _rational, load_spec_file
+from .coleman import _rational, parse_spec_data
 from .diffops import check_nice, weierstrass_annihilator, weierstrass_local_annihilator, weierstrass_orders
 from .errors import DegenerateOperatorError, DomainError, PrecisionError
 from .funcfield import chart_for, default_truncation, weierstrass_chart
@@ -38,8 +41,16 @@ def _coefficients(texts, what):
     return [_rational(c, f"{what} coefficient") for c in texts]
 
 
+def _opened(path, mode="r"):
+    """open(path, mode); a file that cannot be opened is invalid input."""
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise DomainError(str(exc)) from exc
+
+
 def load_curve_file(path):
-    with open(path) as fh:
+    with _opened(path) as fh:
         parts = fh.read().split()
     if len(parts) < 3:
         raise DomainError("curve file needs: kind g c_0 c_1 ... c_deg")
@@ -57,7 +68,7 @@ def curve_from_args(args):
 
 def _write_out(args, payload):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
+        with _opened(args.out, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -190,11 +201,18 @@ def parse_disk(text, curve):
     return DiskDescriptor(kind, x_bar, y_bar)
 
 
+def _load_spec(args):
+    """The --spec file, with the --T option applied."""
+    with _opened(args.spec) as fh:
+        spec = parse_spec_data(json.load(fh))
+    spec.T = _truncation(args, spec.T)
+    return spec
+
+
 def cmd_analyze_disk(args):
     curve = curve_from_args(args) if not args.spec else None
     if args.spec:
-        spec = load_spec_file(args.spec)
-        spec.T = _truncation(args, spec.T)
+        spec = _load_spec(args)
         curve = spec.curve
     p = Prime(args.p)
     if args.spec:
@@ -227,8 +245,7 @@ def cmd_analyze_disk(args):
 
 
 def cmd_pipeline(args):
-    spec = load_spec_file(args.spec)
-    spec.T = _truncation(args, spec.T)
+    spec = _load_spec(args)
     result = run_pipeline(spec)
     print(f"pipeline: {spec.curve.kind} model, genus {spec.curve.genus}, p = {int(spec.p)}, T = {spec.T}")
     header = f"{'disk':<12}{'kind':<24}{'order':>6}{'N_b':>6}{'bound':>7}  notes"
@@ -319,11 +336,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (PrecisionError, DegenerateOperatorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (DomainError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

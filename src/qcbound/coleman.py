@@ -84,6 +84,11 @@ class ColemanSpec:
                 raise DomainError(
                     f"h has ledger {led}, outside the allowed space O({cap}*infinity)"
                 )
+        self.check_constants()
+
+    def check_constants(self):
+        """DomainError unless every ``constants`` key names a residue disk mod
+        p; run again when a run is planned, for keys added later."""
         if self.constants:
             disks = {str(d) for d in residue_disks(self.curve, self.p)}
             for key in self.constants:

@@ -36,8 +36,8 @@ from .errors import (
     SearchExhaustedError,
 )
 from .funcfield import CurveFunction
-from .hyperelliptic import reduce_mod
-from .padics import INFINITY, as_prime, valuation
+from .hyperelliptic import residue_disks
+from .padics import INFINITY, as_prime, reduce_mod, valuation
 from .series import LaurentSeries, TruncatedSeries
 
 
@@ -488,15 +488,10 @@ def weierstrass_local_annihilator(chart):
 
 
 def _verify_unit_on_weierstrass(D1, model, p):
-    p = as_prime(p)
-    from .hyperelliptic import poly_mod, _eval_mod
-
-    f_mod = poly_mod(model.f, p)
     lead = D1.coeffs[-1]
-    for x_bar in range(int(p)):
-        if _eval_mod(f_mod, x_bar, p) == 0:
-            if lead.value_mod_p(x_bar, 0, p) == 0:
-                raise DomainError(
-                    f"internal contradiction: det(B) vanishes at the Weierstrass "
-                    f"disk x = {x_bar} mod {p} (unit lemma violated)"
-                )
+    for disk in residue_disks(model, p):
+        if disk.kind == "affine_weierstrass" and lead.value_mod_p(disk.x_bar, 0, p) == 0:
+            raise DomainError(
+                f"internal contradiction: det(B) vanishes at the Weierstrass "
+                f"disk x = {disk.x_bar} mod {p} (unit lemma violated)"
+            )

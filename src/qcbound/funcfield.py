@@ -21,12 +21,16 @@ Disk expansions fix one local parameter per residue-disk kind:
   y0 * sqrt(f(x0+t)/f(x0)).  When no lift with rational y0 exists the chart
   works over Q(sqrt(d)), d = f(x0), with the p-adic embedding chosen so that
   sqrt(d) reduces to y_bar.
-* affine Weierstrass center (x_w, 0): t = y, with x recovered from y^2 = f(x)
-  by Newton iteration (f'(x_w) != 0 because f is squarefree).
+* affine Weierstrass center (x_w, 0): t = y, with x(t) the root of
+  f(x) = t^2 at x_w (simple, as f'(x_w) != 0 for the squarefree f).
 * infinity, even model: t = 1/x on each sheet, y = +- t^-(g+1) sqrt(fr(t))
   where fr is the reversed polynomial (constant term 1 since f is monic).
-* infinity, odd model: t = x^g / y, with x = t^-2 s(t) and y = t^-(2g+1) s(t)^g
-  for the unique unit series s solving the curve equation.
+* infinity, odd model: t = x^g / y, with x = t^-2 s(t) and y = t^-1 x^g for
+  the unique unit series s solving the curve equation f(x) = t^-2 x^(2g).
+
+A polynomial is evaluated at a chart series in one way, as one dot product
+over the integer table of powers of x(t); the two coordinates that y^2 = f(x)
+defines only implicitly come from one Newton solver on that table.
 
 Pole ledgers certify membership in H^0(X, O(n*infinity + m*W)).  Both orders
 are read from the f-power form: at infinity from the degrees of A, B, f^k and
@@ -40,11 +44,11 @@ from math import lcm
 from operator import add
 
 from .errors import DomainError, NonUnitError, PoleError
-from .hyperelliptic import DiskDescriptor, _eval_mod, poly_mod, reduce_mod
-from .padics import as_prime, valuation
+from .hyperelliptic import DiskDescriptor, value_mod
+from .padics import as_prime, reduce_mod, valuation
 from .polys import Poly, common_denominator, convolve, poly_gcd, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
-from .series import LaurentSeries, TruncatedSeries, poly_on_series
+from .series import LaurentSeries, TruncatedSeries
 
 _ONE = Poly([1])
 _HALF = Fraction(1, 2)
@@ -361,10 +365,6 @@ class CurveFunction:
             self.model, Poly([2 / fp.leading]), Poly(), 0, fp.monic()
         )
 
-    def is_polynomial(self):
-        a, b = self.view()
-        return a.den.degree == 0 and b.den.degree == 0
-
     def value_mod_p(self, x_bar, y_bar, p):
         """Reduction of the value at an affine F_p point (x_bar, y_bar)."""
         p = as_prime(p)
@@ -372,10 +372,10 @@ class CurveFunction:
         for part, ybar_factor in zip(self.view(), (1, y_bar)):
             if not part:
                 continue
-            den = _eval_mod(poly_mod(part.den, p), x_bar, p)
+            den = value_mod(part.den, x_bar, p)
             if den == 0:
                 raise PoleError(f"denominator vanishes at x = {x_bar} mod {p}")
-            num = _eval_mod(poly_mod(part.num, p), x_bar, p)
+            num = value_mod(part.num, x_bar, p)
             out = (out + num * pow(den, -1, p) * ybar_factor) % p
         return out
 
@@ -533,31 +533,66 @@ def ledger_general_derivative(j, deg_W=None, deg_W0=None, deg_D=None, deg_D0=Non
 # -- disk charts ---------------------------------------------------------------
 
 
-class DiskChart:
+class _Powers:
+    """The powers of one Laurent series x(t) on integers: the one way a
+    polynomial is evaluated at a disk series.
+
+    Power k is (order, L, X_k): the coefficient of t^(order + i) is X_k[i] / L,
+    known for i < len(X_k); x^0 = 1 is known to T coefficients.  Powers are
+    built as the ``LaurentSeries`` product x^(k-1) * x of the two factors
+    stripped of leading known zeros, so order and end agree with it.
+    ``eval_poly`` forms sum_k c_k X_k over one common denominator; the result
+    has the least order and the least end over the powers used, as a chain
+    of sums would.
+    """
+
+    __slots__ = ("T", "_powers")
+
+    def __init__(self, x, T):
+        self.T = T
+        self._powers = [(s.order, *common_denominator(s.series.coeffs))
+                        for s in (LaurentSeries(0, TruncatedSeries.one(T)), x)]
+
+    def _power(self, k):
+        powers = self._powers
+        x_order, x_den, x_ints = _stripped(powers[1])
+        while len(powers) <= k:
+            order, den, ints = _stripped(powers[-1])
+            n = min(len(ints), len(x_ints))
+            powers.append((order + x_order, den * x_den, convolve(ints, x_ints, n)))
+        return powers[k]
+
+    def eval_poly(self, poly):
+        terms = [(c, self._power(k)) for k, c in enumerate(poly.coeffs) if c]
+        if not terms:
+            return LaurentSeries(0, TruncatedSeries.zero(self.T))
+        order = min(o for _, (o, _, _) in terms)
+        end = min(o + len(X) for _, (o, _, X) in terms)
+        den = lcm(*(c.denominator * L for c, (_, L, _) in terms))
+        acc = [0] * max(end - order, 0)
+        for c, (o, L, X) in terms:
+            lo, m = o - order, end - o
+            if m > 0:
+                w = c.numerator * (den // (c.denominator * L))
+                acc[lo:lo + m] = map(add, acc[lo:lo + m], map(w.__mul__, X[:m]))
+        return LaurentSeries(order, TruncatedSeries([Fraction(a, den) for a in acc]))
+
+
+class DiskChart(_Powers):
     """A residue disk with its designated local parameter and expansion data.
 
     Holds Laurent expansions of x and y in the parameter t to relative
     precision T, and the valuation map for the coefficient field (an
-    embedding valuation for quadratic lifts).
-
-    Functions are evaluated on integers.  The chart keeps each power x(t)^k
-    it has used as (order, L_k, X_k): the coefficient of t^(order + i) is
-    X_k[i] / L_k with integers X_k and L_k, known for i < len(X_k).  The
-    powers are built as the ``LaurentSeries`` product x^(k-1) * x builds
-    them (both factors stripped of their leading known zeros), so order and
-    end agree with it.  ``eval_poly`` forms sum_k c_k X_k over one common
-    denominator and makes one ``Fraction`` per output coefficient; the
-    result has the least order and the least end over the powers used, as a
-    chain of ``LaurentSeries`` sums would.  ``eval_rational`` keeps 1/den(t)
-    per denominator polynomial: the same few denominators (powers of f)
-    recur across the functions expanded on one disk.  Both caches live as
-    long as the chart.
+    embedding valuation for quadratic lifts).  The chart is the ``_Powers``
+    table of its x(t); ``eval_rational`` also keeps 1/den(t) per denominator
+    (the same few powers of f recur on one disk).  Both caches live as long
+    as the chart.
     """
 
     def __init__(self, model, disk, T, x_laurent, y_laurent, p=None, embedding=None, center=None, description=""):
+        super().__init__(x_laurent, T)
         self.model = model
         self.disk = disk
-        self.T = T
         self.x = x_laurent
         self.y = y_laurent
         self.p = p
@@ -565,8 +600,6 @@ class DiskChart:
         self.center = center
         self.description = description
         self.dx_dt = x_laurent.derivative()
-        self._x_powers = [(s.order, *common_denominator(s.series.coeffs))
-                          for s in (LaurentSeries(0, TruncatedSeries.one(T)), x_laurent)]
         self._den_inverses = {}
 
     def valuation_of(self, c):
@@ -586,31 +619,6 @@ class DiskChart:
             root = self.embedding.root_mod(1)
             return (reduce_mod(c.u, self.p) + reduce_mod(c.v, self.p) * root) % self.p
         return reduce_mod(c, self.p)
-
-    def _x_power(self, k):
-        """(order, L, X) of x(t)^k (see the class docstring)."""
-        powers = self._x_powers
-        x_order, x_den, x_ints = _stripped(powers[1])
-        while len(powers) <= k:
-            order, den, ints = _stripped(powers[-1])
-            n = min(len(ints), len(x_ints))
-            powers.append((order + x_order, den * x_den, convolve(ints, x_ints, n)))
-        return powers[k]
-
-    def eval_poly(self, poly):
-        terms = [(c, self._x_power(k)) for k, c in enumerate(poly.coeffs) if c]
-        if not terms:
-            return LaurentSeries(0, TruncatedSeries.zero(self.T))
-        order = min(o for _, (o, _, _) in terms)
-        end = min(o + len(X) for _, (o, _, X) in terms)
-        den = lcm(*(c.denominator * L for c, (_, L, _) in terms))
-        acc = [0] * max(end - order, 0)
-        for c, (o, L, X) in terms:
-            lo, m = o - order, end - o
-            if m > 0:
-                w = c.numerator * (den // (c.denominator * L))
-                acc[lo:lo + m] = map(add, acc[lo:lo + m], map(w.__mul__, X[:m]))
-        return LaurentSeries(order, TruncatedSeries([Fraction(a, den) for a in acc]))
 
     def eval_rational(self, r):
         if not r.num:
@@ -641,6 +649,32 @@ def _stripped(power):
     order, den, ints = power
     j = next((i for i, c in enumerate(ints) if c), len(ints))
     return (order + j, den, ints[j:]) if j else power
+
+
+def _newton(f, x, T, e, k):
+    """x(t) = t^o s(t) solving f(x) = t^e x^k, with s known to T coefficients.
+
+    ``x`` gives o and s mod t^n for some n >= 1; the root must be simple, so
+    that P(X) = f(X) - t^e X^k has P'(x) invertible with the order it has at
+    the leading term of x.  Each pass doubles n: it pads s with zeros to
+    m = min(2n, T) coefficients, reads f(x), f'(x), x^k and x^(k-1) from one
+    ``_Powers`` table of that x, and takes x - P(x)/P'(x), known to t^(o+m).
+    """
+    fprime = f.derivative()
+
+    def times_t_e(series):
+        return LaurentSeries(series.order + e, series.series)
+
+    while x.series.truncation < T:
+        m = min(2 * x.series.truncation, T)
+        x = LaurentSeries(x.order, TruncatedSeries.from_polynomial(x.series.coeffs, m))
+        powers = _Powers(x, m)
+        value = powers.eval_poly(f) - times_t_e(powers.eval_poly(Poly.x_power(k)))
+        slope = powers.eval_poly(fprime)
+        if k:
+            slope = slope - times_t_e(powers.eval_poly(Poly.x_power(k - 1, k)))
+        x = x - value / slope
+    return x
 
 
 def _centered_lift(x_bar, p):
@@ -727,19 +761,10 @@ def weierstrass_chart(model, disk, p, T):
             "irrational Weierstrass lifts are unsupported"
         )
     x_w = candidates[0]
-    fprime = model.f.derivative()
-    t2 = TruncatedSeries.from_polynomial([0, 0, 1], T)
-    x_series = TruncatedSeries.from_polynomial([x_w], T)
-    # Newton for f(x(t)) = t^2; error order doubles each pass
-    order = 1
-    while order < T:
-        fx = poly_on_series(model.f.coeffs, x_series)
-        fpx = poly_on_series(fprime.coeffs, x_series)
-        x_series = x_series - (fx - t2) * fpx.inverse()
-        order *= 2
+    x_laurent = _newton(model.f, LaurentSeries(0, TruncatedSeries([x_w])), T, 2, 0)
     y_laurent = LaurentSeries(0, TruncatedSeries.from_polynomial([0, 1], T))
     return DiskChart(
-        model, disk, T, LaurentSeries(0, x_series), y_laurent,
+        model, disk, T, x_laurent, y_laurent,
         p=p, center=(x_w, Fraction(0)), description=f"t = y at x_w = {x_w}",
     )
 
@@ -758,33 +783,11 @@ def infinite_chart(model, label, T, p=None):
         y_laurent = LaurentSeries(-(g + 1), unit.scale(sign))
         desc = f"t = 1/x on sheet {label}"
     else:
-        # t = x^g / y: x = t^-2 s(t), y = t^-(2g+1) s(t)^g with s a unit series
-        s = TruncatedSeries.from_polynomial([1], T)
-        coeffs = model.f.coeffs
-        deg = model.f.degree
-        known = 0
-        top = deg - 1 - next(k for k, c in enumerate(coeffs) if c)   # highest power of 1/s in use
-        while known < T:
-            inv_s = s.inverse()
-            acc = TruncatedSeries.from_polynomial([1], T)
-            inv_powers = [acc]      # inv_powers[e] = inv_s^e, each from the one before
-            for _ in range(top):
-                inv_powers.append(inv_powers[-1] * inv_s)
-            for k in range(deg):
-                c = coeffs[k]
-                if not c:
-                    continue
-                term = inv_powers[deg - 1 - k]
-                shift = TruncatedSeries.from_polynomial([0] * (2 * (deg - k)) + [1], T)
-                acc = acc - (term * shift).truncate(T).scale(c)
-                acc = acc.truncate(T)
-            s_new = acc
-            if s_new == s:
-                break
-            s = s_new
-            known += 2
-        x_laurent = LaurentSeries(-2, s)
-        y_laurent = LaurentSeries(-(2 * g + 1), poly_on_series([0] * g + [1], s))
+        # t = x^g / y: x = t^-2 s(t) with s a unit series, y = t^-1 x^g, and
+        # y^2 = f(x) reads f(x) = t^-2 x^(2g)
+        x_laurent = _newton(model.f, LaurentSeries(-2, TruncatedSeries.one(1)), T, -2, 2 * g)
+        x_g = _Powers(x_laurent, T).eval_poly(Poly.x_power(g))
+        y_laurent = LaurentSeries(x_g.order - 1, x_g.series)
         desc = "t = x^g/y at infinity"
     disk = DiskDescriptor("infinite", label=label)
     return DiskChart(model, disk, T, x_laurent, y_laurent, p=p, description=desc)

@@ -9,11 +9,10 @@ right for the desk-scale primes used here.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, NormalizationError
-from .padics import as_prime, valuation
+from .padics import as_prime, reduce_mod, valuation
 from .polys import Poly, discriminant
 from .quadext import sqrt_mod_p
 
@@ -86,14 +85,6 @@ class DiskDescriptor:
         return f"({self.x_bar},{self.y_bar})"
 
 
-def reduce_mod(q, p):
-    """Reduction of a p-integral rational mod p."""
-    q = Fraction(q)
-    if q.denominator % p == 0:
-        raise NormalizationError(f"denominator of {q} vanishes mod {p}")
-    return q.numerator * pow(q.denominator, -1, p) % p
-
-
 def poly_mod(f, p):
     """Coefficients of f mod p (list, lowest first)."""
     return [reduce_mod(c, p) for c in f.coeffs]
@@ -139,6 +130,11 @@ def _eval_mod(f_mod, x, p):
     for c in reversed(f_mod):
         acc = (acc * x + c) % p
     return acc
+
+
+def value_mod(P, x, p):
+    """P(x) mod p for a p-integral polynomial P and an integer x."""
+    return _eval_mod(poly_mod(P, p), x, p)
 
 
 def count_points_fp(curve, p):

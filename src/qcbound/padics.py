@@ -14,7 +14,7 @@ uniformly.
 import math
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, NormalizationError
 
 #: Valuation of the zero element.  ``math.inf`` compares correctly against
 #: ints and Fractions and is absorbed by ``min``/``max`` as expected.
@@ -92,6 +92,14 @@ def valuation(r, p):
         den //= p
         v -= 1
     return v
+
+
+def reduce_mod(q, modulus):
+    """Residue mod a prime or prime power of an int or Fraction integral there."""
+    num, den = q.numerator, q.denominator
+    if math.gcd(den, modulus) != 1:
+        raise NormalizationError(f"denominator of {q} vanishes mod {modulus}")
+    return num * pow(den, -1, modulus) % modulus
 
 
 def digit_sum(n, p):

@@ -56,7 +56,7 @@ are built from.  The plan and the shared series live for one
 from dataclasses import dataclass
 from math import comb
 
-from .bounds import per_disk_bound, strict_integer_bound
+from .bounds import ledger_degrees, per_disk_bound, strict_integer_bound
 from .coleman import certify_algebraic, expand_G
 from .diffops import (
     DifferentialOperator,
@@ -276,13 +276,6 @@ def _operator_for_affine(spec, kind):
     return None, "weierstrass divided-power annihilator (d/omega_0)", 2 * q, None
 
 
-def _weierstrass_output_degree(curve):
-    g = curve.genus
-    if curve.kind == "even":
-        return 2 * (4 * g**3 + 24 * g**2 - 2 * g + 4)
-    return 8 * g**3 + 36 * g**2 - 38 * g + 13
-
-
 def _attempt(build, *args):
     """build(*args), or the DomainError or PrecisionError it raised."""
     try:
@@ -315,7 +308,8 @@ class _OperatorPlan:
                 if isinstance(F, CurveFunction):
                     F.view()
             if D is None:
-                self._degree = _weierstrass_output_degree(spec.curve)
+                case = "hyper_W" if spec.curve.kind == "even" else "integral_W"
+                self._degree = ledger_degrees(spec.curve.genus)[case]
             elif candidate:
                 self._degree = _attempt(polar_degree, candidate)
 
@@ -336,10 +330,13 @@ class SpecPlan:
     ``disks`` (a single one for every affine disk on the order-2 shape), plus
     the memo of exact series that a conjugate quadratic pair shares and the
     memo of chart unit series that the two disks above one x_bar share
-    (``units``, see ``funcfield.nonweierstrass_chart``).
+    (``units``, see ``funcfield.nonweierstrass_chart``).  Planning first runs
+    ``ColemanSpec.check_constants``, so a constants key added after the spec
+    was built fails the run with DomainError before any disk is analysed.
     """
 
     def __init__(self, spec, disks):
+        spec.check_constants()
         self.spec = spec
         self.floor = spec_input_floor(spec)
         kinds = sorted({d.kind for d in disks} - {"infinite"})
@@ -376,9 +373,12 @@ def _once(memo, name, compute, *args):
 
 
 def analyze_disk(spec, disk):
-    """Full analysis of one residue disk; errors are captured, not raised.
+    """Full analysis of one residue disk; errors on the disk are captured,
+    not raised.
 
     ``spec`` is a ColemanSpec, or the SpecPlan of a run that covers ``disk``.
+    Planning a ColemanSpec raises DomainError for a constants key that names
+    no residue disk.
     """
     plan = spec if isinstance(spec, SpecPlan) else SpecPlan(spec, [disk])
     spec = plan.spec
@@ -441,7 +441,7 @@ def _analyze_infinite(spec, disk, ana):
         ana.n_b_method = "excluded disk"
         return ana
     q = 2 * g + 1
-    degree = 8 * g**2 + 12 * g + 4      # deg((g+1) infinity + (4g+1) W) on the flipped model
+    degree = ledger_degrees(g)["hyper_nonW"]      # read on the flipped model
     ana.operator = f"(d/dx)^{q} (d/omega_0) on the flipped model"
     ana.order = q + 1
     ana.n_b = degree

@@ -364,10 +364,6 @@ def discriminant(f):
     return sign * resultant(f, f.derivative()) / f.leading
 
 
-def is_squarefree(f):
-    return poly_gcd(f, f.derivative()).degree == 0
-
-
 def _divisors(n):
     out = []
     d = 1

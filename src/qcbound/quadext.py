@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError
-from .padics import valuation
+from .padics import reduce_mod, valuation
 
 
 def rational_sqrt(x):
@@ -139,12 +139,6 @@ def sqrt_mod_p(a, p):
     raise DomainError(f"{a} is not a square mod {p}")
 
 
-def _residue(q, modulus):
-    """Residue of a p-integral rational mod an integer modulus."""
-    num, den = q.numerator, q.denominator
-    return num * pow(den, -1, modulus) % modulus
-
-
 class PAdicSqrtEmbedding:
     """An embedding Q(sqrt(d)) -> Q_p determined by sqrt(d) === root mod p.
 
@@ -158,7 +152,7 @@ class PAdicSqrtEmbedding:
         self.p = int(p)
         if valuation(self.d, p) != 0:
             raise DomainError("embedding requires d to be a p-unit")
-        d_bar = _residue(self.d, self.p)
+        d_bar = reduce_mod(self.d, self.p)
         r = sqrt_mod_p(d_bar, self.p) if root_mod_p is None else root_mod_p % self.p
         if r * r % self.p != d_bar:
             raise DomainError("root_mod_p is not a square root of d mod p")
@@ -171,7 +165,7 @@ class PAdicSqrtEmbedding:
             new_prec = 2 * self._precision
             modulus = self.p ** new_prec
             s = self._root
-            d_res = _residue(self.d, modulus)
+            d_res = reduce_mod(self.d, modulus)
             inv = pow(2 * s, -1, modulus)
             s = (s - (s * s - d_res) * inv) % modulus
             self._root = s
@@ -191,7 +185,7 @@ class PAdicSqrtEmbedding:
         cap = valuation(u * u - self.d * v * v, p)
         for k in range(cap + 1):
             modulus = p ** (k + 1)
-            r = (_residue(u, modulus) + _residue(v, modulus) * self.root_mod(k + 1)) % modulus
+            r = (reduce_mod(u, modulus) + reduce_mod(v, modulus) * self.root_mod(k + 1)) % modulus
             if r:
                 # zero residue mod p^k (previous iterations) and nonzero mod
                 # p^(k+1) pin the first nonzero digit at position k

@@ -105,11 +105,6 @@ class TruncatedSeries:
             n = upto
         return all(self.coeffs[i] == other.coeffs[i] for i in range(n))
 
-    def truncate(self, T):
-        if T >= len(self.coeffs):
-            return self
-        return TruncatedSeries(self.coeffs[:T])
-
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
@@ -136,14 +131,6 @@ class TruncatedSeries:
     def scale(self, c):
         """Scalar multiple; c may be int, Fraction, or a QuadExt element."""
         return TruncatedSeries([c * x for x in self.coeffs])
-
-    def shift_add(self, c):
-        """self + c as series (adds to the constant term)."""
-        if not self.coeffs:
-            return self
-        out = list(self.coeffs)
-        out[0] = out[0] + c
-        return TruncatedSeries(out)
 
     def derivative(self):
         if len(self.coeffs) < 1:
@@ -172,13 +159,6 @@ class TruncatedSeries:
         conj = [c.conjugate() if isinstance(c, QuadExt) else c for c in coeffs]
         norm = _product(coeffs, conj, len(coeffs))
         return TruncatedSeries(_product(conj, _rational_inverse(norm), len(coeffs)))
-
-    def compose(self, inner):
-        """self(inner(t)); inner must have zero constant term."""
-        if inner.coeffs and inner.coeffs[0]:
-            raise PoleError("composition requires a series of positive order")
-        n = min(len(self.coeffs), len(inner.coeffs))
-        return poly_on_series(self.coeffs, inner.truncate(n))
 
     def sqrt_unit(self):
         """Square root of a series with constant term exactly 1."""
@@ -261,18 +241,6 @@ def _rational_inverse(coeffs):
         out.append(Fraction(den * x, power))
         power *= s0
     return out
-
-
-def poly_on_series(coeffs, s):
-    """sum_k coeffs[k] s^k by Horner's rule, known to the truncation of s.
-
-    Takes one series product per coefficient below the leading one, so
-    ``poly_on_series([0] * k + [1], s)`` is s^k in k products.
-    """
-    acc = TruncatedSeries.from_polynomial(coeffs[-1:], s.truncation)
-    for c in reversed(coeffs[:-1]):
-        acc = (acc * s).shift_add(c)
-    return acc
 
 
 class LaurentSeries:

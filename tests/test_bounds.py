@@ -9,6 +9,7 @@ from qcbound.bounds import (
     general_polynomial,
     hyperelliptic_inner,
     integral_inner,
+    ledger_degrees,
     per_disk_bound,
     strict_integer_bound,
     thm1_general,
@@ -173,3 +174,15 @@ class TestDegreeLedger:
     def test_unknown_case(self):
         with pytest.raises(DomainError):
             degree_ledger(2, "nope")
+
+    def test_ledger_degrees(self):
+        # the pipeline reads these three at g = 1 as well, where degree_ledger
+        # refuses: the even genus-1 infinite disks take 24
+        assert ledger_degrees(1) == {"hyper_nonW": 24, "hyper_W": 60, "integral_W": 19}
+        for g in range(2, 9):
+            degrees = ledger_degrees(g)
+            assert degrees["hyper_nonW"] == 8 * g**2 + 12 * g + 4
+            assert degree_ledger(g, "hyper_nonW")["output_degree"] == degrees["hyper_nonW"]
+            assert degree_ledger(g, "hyper_W")["weierstrass_constant"][1] == degrees["hyper_W"]
+            assert 2 * degree_ledger(g, "hyper_W")["output_space_inf"] == degrees["hyper_W"]
+            assert degree_ledger(g, "integral_W")["output_space_inf"] == degrees["integral_W"]

@@ -81,6 +81,30 @@ class TestCount:
         assert proc.returncode == 0, proc.stderr
         assert "Hasse-Weil window: ok" in proc.stdout
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_is_not_invalid_input(self, unbuffered):
+        # as in `qcbound operator ... | head -1`: the reader has gone before
+        # the output is written; exit 1 with no error line and no traceback
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qcbound", "operator", "--kind", "even",
+                 "--f", "0,-2,0,2,0,-1,1", "--p", "7", "--T", "24"],
+                cwd=ROOT, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == ""
+
+    def test_unopenable_out_file_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["count", "--kind", "odd", "--f", "1,0,0,1", "--p", "5", "--out", str(out)]) == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
 
 class TestBound:
     def test_refuses_without_attestation(self, tmp_path, capsys):

@@ -474,7 +474,7 @@ class TestLocalOperator:
             want = laurent_apply_on_chart(D, F, chart)
             upto = min(got.truncation, want.truncation)
             assert upto >= F.truncation - D.order - 2, name
-            assert not want.truncate(upto).is_known_zero(), name
+            assert any(want.coeffs[:upto]), name
             assert got.agrees_with(want, upto=upto), name
 
     def test_series_operator_comes_back_unchanged(self):

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qcbound.errors import PoleError
+from qcbound.errors import DomainError, PoleError
 from qcbound.funcfield import (
     CurveFunction,
     PoleLedger,
@@ -15,7 +17,8 @@ from qcbound.funcfield import (
     nonweierstrass_chart,
     weierstrass_chart,
 )
-from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
+from qcbound.hyperelliptic import CurveModel, DiskDescriptor, good_reduction_at, residue_disks
+from qcbound.padics import reduce_mod
 from qcbound.polys import Poly
 from qcbound.quadext import QuadExt
 from qcbound.series import LaurentSeries, TruncatedSeries
@@ -97,7 +100,8 @@ class TestFieldOps:
     def test_omega0_derivation_preserves_polynomials(self):
         C = genus2_even()
         F = CurveFunction(C, Poly([1, 2, 0, 1]), RationalFunc(Poly([3, 1])))
-        assert F.d_by_omega0().is_polynomial()
+        a, b = F.d_by_omega0().view()
+        assert a.den.degree == 0 and b.den.degree == 0
 
     def test_leibniz(self):
         C = genus2_odd()
@@ -215,7 +219,7 @@ class TestExpansion:
                 lhs = chart.laurent(dF)
                 rhs = chart.laurent(F).derivative() / chart.dx_dt
                 diff = (lhs - rhs).normalized()
-                assert diff.series.truncate(6).is_known_zero()
+                assert not any(diff.series.coeffs[:6])
 
 
 class TestLedgers:
@@ -328,3 +332,74 @@ class TestParity:
                 exp = chart.expand(F_j)
                 bad = range(0, exp.truncation, 2) if j % 2 else range(1, exp.truncation, 2)
                 assert all(not exp.coeffs[k] for k in bad)
+
+
+# -- chart properties against the curve equation ----------------------------------
+
+
+@st.composite
+def curves_with_prime(draw):
+    """(C, p, T): a monic squarefree f of genus 1-3 on either model, built
+    from distinct rational roots times a random monic cofactor so that
+    rational Weierstrass centres come up often; p in {5, 7, 11, 13} of good
+    reduction; T in [1, 30]."""
+    kind = draw(st.sampled_from(["odd", "even"]))
+    deg = 2 * draw(st.integers(1, 3)) + (1 if kind == "odd" else 2)
+    roots = draw(st.lists(st.integers(-6, 6), unique=True, max_size=deg))
+    rest = draw(st.lists(st.integers(-4, 4), min_size=deg - len(roots), max_size=deg - len(roots)))
+    f = Poly(rest + [1])
+    for r in roots:
+        f = f * Poly([-r, 1])
+    try:
+        C = CurveModel(kind, f)
+    except DomainError:
+        assume(False)
+    primes = [p for p in (5, 7, 11, 13) if good_reduction_at(C, p)]
+    assume(primes)
+    # T <= 3 on half the draws: the charts' shortest series are edge cases
+    return C, draw(st.sampled_from(primes)), draw(st.one_of(st.integers(1, 3), st.integers(4, 30)))
+
+
+def horner(poly, x, T):
+    """poly(x) by Horner's rule in series products, independent of the chart's
+    power table; x is a TruncatedSeries or a LaurentSeries."""
+    def const(c):
+        s = TruncatedSeries.from_polynomial([c], T)
+        return s if isinstance(x, TruncatedSeries) else LaurentSeries(0, s)
+    acc = const(poly.coeffs[-1])
+    for c in reversed(poly.coeffs[:-1]):
+        acc = acc * x + const(c)
+    return acc
+
+
+class TestChartProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(curves_with_prime())
+    def test_charts_satisfy_the_curve_equation(self, case):
+        C, p, T = case
+        for disk in residue_disks(C, p):
+            if disk.kind == "affine_weierstrass":
+                try:
+                    chart = weierstrass_chart(C, disk, p, T)
+                except DomainError as exc:
+                    assert "irrational Weierstrass lifts" in str(exc)
+                    continue
+                # x(0) = x_w, a root of f over x_bar, and f(x(t)) = t^2 + O(t^T)
+                x_w = chart.center[0]
+                assert not C.f(x_w) and reduce_mod(x_w, p) == disk.x_bar
+                x = chart.x.regular_part()
+                assert x.truncation == T and x.coeffs[0] == x_w
+                residual = horner(C.f, x, T) - TruncatedSeries.from_polynomial([0, 0, 1], T)
+                assert residual.truncation == T and residual.is_known_zero()
+            elif disk.kind == "affine_nonweierstrass":
+                chart = nonweierstrass_chart(C, disk, p, T)
+                x0 = chart.center[0]
+                assert chart.x.regular_part() == TruncatedSeries.from_polynomial([x0, 1], T)
+                y = chart.y.regular_part()
+                assert y * y == TruncatedSeries.from_polynomial(C.f.compose_shift(x0).coeffs, T)
+            else:
+                chart = infinite_chart(C, disk.label, T, p=p)
+                y2 = chart.y * chart.y
+                diff = y2 - horner(C.f, chart.x, T)
+                # known to the precision of y^2, and zero there
+                assert diff.end == y2.end and diff.normalized().series.is_known_zero()

@@ -135,9 +135,9 @@ class TestResidueDisks:
         c = CurveModel("even", [2, 1, 0, 0, 0, 0, 1])
         if good_reduction_at(c, 5):
             disks = residue_disks(c, 5)
-            from qcbound.hyperelliptic import poly_mod, _eval_mod
+            from qcbound.hyperelliptic import value_mod
 
-            roots = [x for x in range(5) if _eval_mod(poly_mod(c.f, 5), x, 5) == 0]
+            roots = [x for x in range(5) if value_mod(c.f, x, 5) == 0]
             assert bool(roots) == any(d.kind == "affine_weierstrass" for d in disks)
 
     def test_deterministic_order(self):

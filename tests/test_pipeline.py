@@ -7,9 +7,9 @@ from perfbench_support import perfbench_module, workload_cases
 
 from qcbound import funcfield, pipeline
 from qcbound.coleman import ColemanSpec, DiskConstants
-from qcbound.errors import PrecisionError
+from qcbound.errors import DomainError, PrecisionError
 from qcbound.funcfield import CurveFunction, ledger_of
-from qcbound.hyperelliptic import CurveModel, count_points_fp
+from qcbound.hyperelliptic import CurveModel, DiskDescriptor, count_points_fp
 from qcbound.padics import kappa
 from qcbound.pipeline import (
     PipelineResult,
@@ -250,6 +250,17 @@ class TestConstantInsensitivity:
         assert r_base.ok and r_shifted.ok
         for a, b in zip(r_base.analyses, r_shifted.analyses):
             assert (a.n_b, a.bound, a.certified) == (b.n_b, b.bound, b.certified)
+
+    def test_key_added_late_is_checked(self, monkeypatch):
+        # keys added after construction are checked when a run is planned,
+        # against every residue disk, before any disk is analysed
+        spec = elliptic_spec([1, 1, 0, 1], a=Fraction(2))
+        spec.constants["(9,9)"] = DiskConstants([Fraction(1), Fraction(0)], [[Fraction(0)] * 2] * 2)
+        monkeypatch.setattr(pipeline, "chart_for", None)   # no disk may get as far as its chart
+        with pytest.raises(DomainError, match=r"'\(9,9\)' is not a residue disk of this curve mod 5"):
+            run_pipeline(spec)
+        with pytest.raises(DomainError, match="is not a residue disk"):
+            analyze_disk(spec, DiskDescriptor("affine_nonweierstrass", 0, 1))
 
 
 class TestEtaTerm:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qcbound.errors import DomainError
-from qcbound.polys import Poly, discriminant, is_squarefree, poly_gcd, rational_roots, resultant
+from qcbound.polys import Poly, discriminant, poly_gcd, rational_roots, resultant
 
 
 def P(*coeffs):
@@ -85,10 +85,6 @@ class TestResultant:
         for a, b in [(1, 1), (-1, 0), (2, -3)]:
             f = P(b, a, 0, 1)
             assert discriminant(f) == -4 * a**3 - 27 * b**2
-
-    def test_squarefree(self):
-        assert is_squarefree(P(1, 0, 0, 0, 0, 1))
-        assert not is_squarefree(P(1, 2, 1))
 
 
 class TestRationalRoots:

@@ -57,15 +57,6 @@ class TestRingOps:
         b = S([1, 1], 2)
         assert (a * b).truncation == 2
 
-    def test_compose(self):
-        f = S([0, 1, 1], 3)          # t + t^2
-        g = S([0, 2, 0], 3)          # 2t
-        assert f.compose(g) == S([0, 2, 4], 3)
-
-    def test_compose_requires_positive_order(self):
-        with pytest.raises(PoleError):
-            S([1, 1], 2).compose(S([1, 1], 2))
-
     def test_sqrt_unit(self):
         f = S([1, 1, 0, 1], 4)       # 1 + t + t^3
         r = f.sqrt_unit()
