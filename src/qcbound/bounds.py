@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .padics import as_prime, kappa
-from .series import TruncatedSeries, min_valuation_index
 
 
 def strict_integer_bound(raw):
@@ -180,19 +179,15 @@ def thm_integral(g, p, prod_mv, y_fp, w_fp=0, mv_provenance="user-supplied"):
     )
 
 
-def per_disk_bound(n_b, order, p, floor_val=0, val=None):
+def per_disk_bound(n_b, order, p):
     """Zero bound kappa_p (N_b + N) on one residue disk, as an integer.
 
-    ``n_b`` may be an integer (a reduction order or a ledger degree bound) or
-    the series of the certified-algebraic image, in which case the disk count
-    is its least minimal-valuation index (the Weierstrass-preparation degree:
-    the number of C_p zeros on the whole disk).  The count of zeros is
+    ``n_b`` is the disk's zero count (a reduction order or a ledger degree
+    bound) and ``order`` the operator order N.  The count of zeros is
     nonnegative, so the strict bound is clamped at 0 (relevant only when
     N_b + N = 0, where the true statement is 'at most 0').
     """
     p = as_prime(p)
-    if isinstance(n_b, TruncatedSeries):
-        n_b = min_valuation_index(n_b, p, floor_val, val=val)
     if n_b < 0 or order < 0:
         raise DomainError("counts and orders are nonnegative")
     raw = kappa(p) * (n_b + order)

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import bounds as bounds_mod
 from .coleman import _rational, parse_spec_data
@@ -67,10 +68,11 @@ def curve_from_args(args):
 
 
 def _write_out(args, payload):
-    if getattr(args, "out", None):
-        with _opened(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    """Write the report to the --out file, which ``main`` opened before the
+    command ran, so that an unopenable path fails before any output."""
+    if args.out:
+        json.dump(payload, args.out, indent=2, sort_keys=True)
+        args.out.write("\n")
 
 
 def cmd_count(args):
@@ -297,9 +299,10 @@ def build_parser():
     sp.add_argument("--mv", type=int, help="product of local constants m_v (integral points)")
     sp.add_argument("--nv-note", default="user-supplied", help="provenance note for --nv")
     sp.add_argument("--mv-note", default="user-supplied", help="provenance note for --mv")
-    sp.add_argument("--general", action="store_true", help="use the general-curve bound")
-    sp.add_argument("--corollary", action="store_true", help="potential-good-reduction uniform bound")
-    sp.add_argument("--integral", action="store_true", help="integral-point bound (odd models)")
+    theorem = sp.add_mutually_exclusive_group()
+    theorem.add_argument("--general", action="store_true", help="use the general-curve bound")
+    theorem.add_argument("--corollary", action="store_true", help="potential-good-reduction uniform bound")
+    theorem.add_argument("--integral", action="store_true", help="integral-point bound (odd models)")
     sp.add_argument("--attest-rank-eq-g", action="store_true",
                     help="user attests the Mordell-Weil rank equals the genus")
     sp.add_argument("--attest-condition", choices=["A", "B"],
@@ -336,7 +339,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        with _opened(args.out, "w") if getattr(args, "out", None) else nullcontext() as out:
+            args.out = out
+            code = args.func(args)
         sys.stdout.flush()   # a closed stdout raises here, not at exit
         return code
     except BrokenPipeError:

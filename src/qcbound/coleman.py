@@ -20,7 +20,6 @@ differentials do not.
 """
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -165,20 +164,10 @@ def expand_G(spec, chart):
     return out
 
 
-def certify_algebraic(F, candidate, chart, degree_bound=None):
-    """True iff the candidate's expansion matches F to the full shared precision.
-
-    Attaches an insufficient-precision warning when fewer than twice the
-    expected pole-degree bound coefficients were compared.
-    """
+def certify_algebraic(F, candidate, chart):
+    """True iff the candidate's expansion matches F to the full shared precision."""
     cand = chart.expand(candidate)
     upto = min(F.truncation, cand.truncation)
-    if degree_bound is not None and upto < 2 * degree_bound:
-        warnings.warn(
-            f"algebraic certification compared only {upto} coefficients, "
-            f"below twice the degree bound {degree_bound}",
-            stacklevel=2,
-        )
     if upto == 0:
         raise PrecisionError("no shared coefficients to compare", needed=1)
     return F.agrees_with(cand, upto=upto)

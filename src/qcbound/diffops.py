@@ -38,14 +38,17 @@ from .errors import (
 from .funcfield import CurveFunction
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, as_prime, reduce_mod, valuation
+from .polys import Poly
 from .series import LaurentSeries, TruncatedSeries
 
 
 class DifferentialOperator:
     """sum g_i D^i with D the base derivation ('dx', 'omega0', or 'dy').
 
-    Trailing zero coefficients are trimmed so the order is tight; a local
-    operator (``local_operator``) keeps the order of the operator it rewrites.
+    Every coefficient is a CurveFunction or a TruncatedSeries; any other type
+    raises DomainError.  Trailing zero coefficients are trimmed so the order
+    is tight; a local operator (``local_operator``) keeps the order of the
+    operator it rewrites.
     """
 
     __slots__ = ("coeffs", "base")
@@ -54,6 +57,8 @@ class DifferentialOperator:
         if base not in ("dx", "omega0", "dy"):
             raise DomainError(f"unknown base derivation {base!r}")
         coeffs = list(coeffs)
+        if not all(isinstance(c, (CurveFunction, TruncatedSeries)) for c in coeffs):
+            raise DomainError("operator coefficients must be CurveFunction or TruncatedSeries")
         while coeffs and _is_zero_coeff(coeffs[-1]):
             coeffs.pop()
         if not coeffs:
@@ -135,7 +140,7 @@ def apply_series(D, F):
             continue
         if isinstance(g, CurveFunction):
             raise DomainError("algebraic coefficients need apply_on_chart")
-        term = g * current if isinstance(g, TruncatedSeries) else current.scale(g)
+        term = g * current
         out = term if out is None else out + term
     return out
 
@@ -143,9 +148,7 @@ def apply_series(D, F):
 def _coeff_laurent(g, chart):
     if isinstance(g, CurveFunction):
         return chart.laurent(g)
-    if isinstance(g, TruncatedSeries):
-        return LaurentSeries.from_series(g)
-    return LaurentSeries.from_series(TruncatedSeries.from_polynomial([g], chart.T))
+    return LaurentSeries.from_series(g)
 
 
 def local_operator(D, chart):
@@ -212,11 +215,9 @@ def check_nice(D, p, chart=None):
         disk, coeffs, val = None, D.coeffs, (lambda c: valuation(c, p))
     else:
         disk, coeffs, val = chart.disk, local_operator(D, chart).coeffs, chart.valuation_of
-    locs = [g if isinstance(g, TruncatedSeries) else TruncatedSeries.from_polynomial([g], 1)
-            for g in coeffs]
     integrality = None
     fail_idx = fail_val = None
-    for idx, g in enumerate(locs):
+    for idx, g in enumerate(coeffs):
         for c in g.coeffs:
             if not c:
                 continue
@@ -225,14 +226,14 @@ def check_nice(D, p, chart=None):
                 integrality = v
                 if v < 0 and fail_idx is None:
                     fail_idx, fail_val = idx, v
-    lead = locs[-1]
+    lead = coeffs[-1]
     if not lead.coeffs:
         raise PrecisionError("leading coefficient has no known terms", needed=2)
     unit_v = val(lead.coeffs[0]) if lead.coeffs[0] else INFINITY
     if fail_idx is not None:
         return NicenessCertificate(disk, False, integrality, unit_v, fail_idx, fail_val)
     if unit_v != 0:
-        return NicenessCertificate(disk, False, integrality, unit_v, len(locs) - 1, unit_v)
+        return NicenessCertificate(disk, False, integrality, unit_v, len(coeffs) - 1, unit_v)
     return NicenessCertificate(disk, True, integrality, unit_v)
 
 
@@ -341,9 +342,7 @@ def _scaled(entry, c):
 def _zero_like(template):
     if isinstance(template, TruncatedSeries):
         return TruncatedSeries.zero(template.truncation)
-    if isinstance(template, CurveFunction):
-        return CurveFunction.const(template.model, 0)
-    return Fraction(0)
+    return CurveFunction.const(template.model, 0)
 
 
 def search_nice_S(funcs, p, N_max, chart=None):
@@ -477,13 +476,10 @@ def weierstrass_local_annihilator(chart):
     model = chart.model
     if chart.disk.kind != "affine_weierstrass":
         raise DomainError("local Weierstrass annihilator needs a Weierstrass chart")
-    m = model.basis_size
-    funcs = []
-    x_series = chart.expand(CurveFunction.x(model))
-    cur = TruncatedSeries.from_polynomial([1], chart.T)
-    for _ in range(m):
-        funcs.append(cur)
-        cur = cur * x_series
+    # x^k from the chart's power table, cut to T coefficients: at x_w = 0 the
+    # table knows x^k to t^(2k + T - 2)
+    funcs = [TruncatedSeries(chart.expand(CurveFunction(model, Poly.x_power(k))).coeffs[:chart.T])
+             for k in range(model.basis_size)]
     return build_annihilator(weierstrass_orders(model), funcs, base="dx")
 
 

@@ -391,7 +391,7 @@ class CurveFunction:
 
 @dataclass(frozen=True)
 class PoleLedger:
-    """Certified claim F in H^0(X, O(n_inf * infinity + m_W * W + extra * D)).
+    """Certified claim F in H^0(X, O(n_inf * infinity + m_W * W)).
 
     ``n_inf`` counts multiples of the full divisor at infinity (degree 2 for
     even models, 1 for odd); negative entries certify zeros of that order.
@@ -399,10 +399,9 @@ class PoleLedger:
 
     n_inf: int
     m_W: int
-    extra: int = 0
 
-    def within(self, n_inf, m_W, extra=0):
-        return self.n_inf <= n_inf and self.m_W <= m_W and self.extra <= extra
+    def within(self, n_inf, m_W):
+        return self.n_inf <= n_inf and self.m_W <= m_W
 
 
 def _f_multiplicity(P, f):
@@ -500,8 +499,8 @@ def ledger_derivative(ledger, model_kind):
     m = max(ledger.m_W, 0)
     new_m = m + 2 if m > 0 else 1
     if model_kind == "even":
-        return PoleLedger(ledger.n_inf - 1, new_m, ledger.extra)
-    return PoleLedger(ledger.n_inf - 2, new_m, ledger.extra)
+        return PoleLedger(ledger.n_inf - 1, new_m)
+    return PoleLedger(ledger.n_inf - 2, new_m)
 
 
 def ledger_general_derivative(j, deg_W=None, deg_W0=None, deg_D=None, deg_D0=None):

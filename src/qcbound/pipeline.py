@@ -78,7 +78,7 @@ from .funcfield import (
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, kappa, valuation
 from .polys import Poly
-from .series import lowest_valuation, min_valuation_index
+from .series import lowest_valuation
 
 
 @dataclass
@@ -239,21 +239,20 @@ def nonweierstrass_candidate(spec):
 
 
 def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
-    """(n_b, method) for a certified-algebraic image on one disk."""
-    try:
-        return min_valuation_index(F_series, p, floor_val, val=val), "reduction order"
-    except PrecisionError:
-        pass
-    if degree_bound is not None and F_series.truncation > degree_bound:
-        best_i, _ = lowest_valuation(F_series, p, val=val)
-        if best_i is not None and best_i <= degree_bound:
-            return best_i, "reduction order (degree-certified)"
-    if degree_bound is not None:
-        return degree_bound, "ledger degree"
-    raise PrecisionError(
-        "zero count not certifiable at this truncation",
-        needed=2 * F_series.truncation,
-    )
+    """(n_b, method) for a certified-algebraic image on one disk: the least
+    index of minimal valuation, certified by the input floor or, when T
+    exceeds it, by the polar-degree bound; else that bound."""
+    best_i, best_v = lowest_valuation(F_series, p, val=val)
+    if best_i is not None and best_v <= floor_val:
+        return best_i, "reduction order"
+    if degree_bound is None:
+        raise PrecisionError(
+            "zero count not certifiable at this truncation",
+            needed=2 * F_series.truncation,
+        )
+    if F_series.truncation > degree_bound and best_i is not None and best_i <= degree_bound:
+        return best_i, "reduction order (degree-certified)"
+    return degree_bound, "ledger degree"
 
 
 def _operator_for_affine(spec, kind):

@@ -290,20 +290,12 @@ class LaurentSeries:
             other = LaurentSeries.from_series(other)
         if not isinstance(other, LaurentSeries):
             return NotImplemented
+        # both operands written from the common order to the common end
         o = min(self.order, other.order)
-        end = min(self.end, other.end)
-        if end <= o:
-            return LaurentSeries(o, TruncatedSeries(()))
-        out = [Fraction(0)] * (end - o)
-        for i, c in enumerate(self.series.coeffs):
-            k = self.order + i - o
-            if k < len(out):
-                out[k] = out[k] + c
-        for i, c in enumerate(other.series.coeffs):
-            k = other.order + i - o
-            if k < len(out):
-                out[k] = out[k] + c
-        return LaurentSeries(o, TruncatedSeries(out))
+        n = max(min(self.end, other.end) - o, 0)
+        a, b = (TruncatedSeries(([Fraction(0)] * (s.order - o) + list(s.series.coeffs))[:n])
+                for s in (self, other))
+        return LaurentSeries(o, a + b)
 
     def __neg__(self):
         return LaurentSeries(self.order, -self.series)

@@ -18,7 +18,6 @@ from qcbound.bounds import (
 )
 from qcbound.errors import DomainError
 from qcbound.padics import kappa, kappa_bounds
-from qcbound.series import TruncatedSeries
 
 
 class TestStrictSemantics:
@@ -131,11 +130,6 @@ class TestPerDisk:
 
     def test_zero_case(self):
         assert per_disk_bound(0, 0, 5) == 0
-
-    def test_series_input(self):
-        # (x0 + a) + t with v(x0+a) >= 1: disk count 1
-        F = TruncatedSeries.from_polynomial([5, 1], 4)
-        assert per_disk_bound(F, 2, 5) == 5
 
     def test_rejects_negative(self):
         with pytest.raises(DomainError):

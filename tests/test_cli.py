@@ -103,7 +103,9 @@ class TestCount:
     def test_unopenable_out_file_exit_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "report.json"
         assert main(["count", "--kind", "odd", "--f", "1,0,0,1", "--p", "5", "--out", str(out)]) == 2
-        assert "No such file or directory" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""   # the --out file is opened before the table is printed
 
 
 class TestBound:
@@ -154,6 +156,21 @@ class TestBound:
         out = capsys.readouterr().out
         assert code == 0
         assert "thm1_general" in out
+
+    @pytest.mark.parametrize(
+        "pair", [("--general", "--corollary"), ("--general", "--integral"), ("--corollary", "--integral")]
+    )
+    def test_theorem_flags_exclusive_exit_2(self, capsys, pair):
+        argv = [
+            "bound", "--kind", "odd", "--f", "1,2,0,0,0,1", "--p", "7", "--mv", "1", "--nv", "1",
+            "--attest-rank-eq-g", "--attest-condition", "A", "--attest-potential-good", *pair,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "not allowed with argument" in captured.err
+        assert captured.out == ""
 
     def test_out_file(self, tmp_path):
         curve = write_curve(tmp_path, "even 2 0 -2 0 2 0 -1 1")
@@ -269,6 +286,14 @@ class TestPipeline:
         for d in affine:
             assert d["error"].startswith("insufficient precision")
             assert d["needed_T"] > 1
+
+    def test_unopenable_out_file_exit_2(self, tmp_path, capsys):
+        spec = elliptic_spec_file(tmp_path)
+        out = tmp_path / "missing" / "pipe.json"
+        assert main(["pipeline", "--spec", spec, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "No such file or directory" in captured.err
+        assert captured.out == ""   # refused before the run, not after it
 
     def test_missing_spec_exit_2(self, tmp_path):
         assert main(["pipeline", "--spec", str(tmp_path / "nope.json")]) == 2

@@ -259,14 +259,6 @@ class TestExpandG:
         perturbed = TruncatedSeries(tuple(F.coeffs[:3]) + (F.coeffs[3] + 1,) + tuple(F.coeffs[4:]))
         assert not certify_algebraic(perturbed, cand, chart)
 
-    def test_certify_warns_on_thin_precision(self):
-        C = elliptic()
-        chart = chart_01(T=6)
-        cand = CurveFunction.x(C)
-        F = chart.expand(cand)
-        with pytest.warns(UserWarning):
-            assert certify_algebraic(F, cand, chart, degree_bound=10)
-
 
 class TestSpecFiles:
     def test_roundtrip(self, tmp_path):

@@ -1,0 +1,100 @@
+"""Translation covariance of the per-disk results, an oracle independent of
+the recorded reference.
+
+Under x = X + s with s in Z, the model y^2 = f(x) becomes y^2 = f_s(X) with
+f_s(X) = f(X + s): monic, integral and of good reduction at the same primes.
+The basis differentials pull back as omega_j = sum_k C(j,k) s^(j-k) omega'_k,
+so with M[j][k] = C(j,k) s^(j-k) the spec (a, v, h) becomes
+(M^T a M, M^T v, h(X + s)), and the disk (x_bar, y_bar) becomes
+(x_bar - s mod p, y_bar); infinite disks keep their labels.  On matching
+disks the zero count, its method, the operator order, the bound, the
+certification, niceness and success must agree.  The lifts, the chart
+parameters and the niceness witnesses are not compared: the chart centres
+move with the model.
+
+Specs: the eta-free (odd, order-2-shape) genus1_batch specs of generator
+seed 3 with s in {1, -2, p}, and genus2_even_p7 seed 3 with s = 1.
+"""
+
+from fractions import Fraction
+from math import comb
+
+import pytest
+from perfbench_support import workload_cases
+
+from qcbound import ColemanSpec, CurveFunction, CurveModel
+from qcbound.funcfield import RationalFunc
+from qcbound.pipeline import run_pipeline
+
+SEED = 3
+
+
+def shifted_spec(spec, s):
+    """The spec pulled back through x = X + s (eta-free specs only)."""
+    assert not spec.eta
+    C = spec.curve
+    Cs = CurveModel(C.kind, C.f.compose_shift(s))
+    n = len(spec.basis)
+    M = [[Fraction(comb(j, k) * s ** (j - k)) if k <= j else Fraction(0) for k in range(n)]
+         for j in range(n)]
+    a = [[sum(M[i][k] * spec.a_matrix[i][j] * M[j][l] for i in range(n) for j in range(n))
+          for l in range(n)] for k in range(n)]
+    v = [sum(M[j][k] * spec.a_vector[j] for j in range(n)) for k in range(n)]
+    h = CurveFunction(Cs, *(RationalFunc(part.num.compose_shift(s), part.den.compose_shift(s))
+                            for part in spec.h.view()))
+    return ColemanSpec(curve=Cs, p=spec.p, a_matrix=a, a_vector=v, h=h, T=spec.T)
+
+
+def disk_key(disk, s, p):
+    """The disk's name on the model shifted by s."""
+    if disk.kind == "infinite":
+        return disk.label
+    return (disk.kind, (disk.x_bar - s) % p, disk.y_bar)
+
+
+def compared(ana):
+    return {
+        "n_b": ana.n_b,
+        "n_b_method": ana.n_b_method,
+        "order": ana.order,
+        "bound": ana.bound,
+        "certified_algebraic": ana.certified,
+        "nice_ok": None if ana.nice is None else ana.nice.ok,
+        "ok": ana.error is None,
+    }
+
+
+def _pairs():
+    out = []
+    for case in workload_cases("genus1_batch", SEED):
+        if not case.spec.eta:
+            out += [(case, s) for s in (1, -2, int(case.spec.p))]
+    out += [(case, 1) for case in workload_cases("genus2_even_p7", SEED)]
+    return out
+
+
+PAIRS = _pairs()
+
+
+@pytest.fixture(scope="module")
+def original_runs():
+    """run_pipeline of each unshifted spec, shared by its shifts."""
+    return {}
+
+
+@pytest.mark.parametrize("case,s", PAIRS, ids=[f"{c.spec_id}-shift{s}" for c, s in PAIRS])
+def test_translation_covariance(original_runs, case, s):
+    spec = case.spec
+    p = int(spec.p)
+    if case.spec_id not in original_runs:
+        original_runs[case.spec_id] = run_pipeline(spec)
+    before = {disk_key(a.disk, s, p): compared(a) for a in original_runs[case.spec_id].analyses}
+    after = {disk_key(a.disk, 0, p): compared(a) for a in run_pipeline(shifted_spec(spec, s)).analyses}
+    assert before.keys() == after.keys()
+    for key in before:
+        assert after[key] == before[key], key
+
+
+def test_pair_count():
+    # six odd genus1_batch specs at three shifts, one genus-2 spec at one
+    assert len(PAIRS) == 19

@@ -65,6 +65,13 @@ class TestApply:
         with pytest.raises(PrecisionError):
             apply_series(D, S([1, 2], 2))
 
+    @pytest.mark.parametrize("scalar", [1, Fraction(1, 2)])
+    def test_scalar_coefficients_rejected(self, scalar):
+        # coefficients are CurveFunction or TruncatedSeries; a scalar is not
+        # read as a constant series
+        with pytest.raises(DomainError):
+            DifferentialOperator([S([0], 4), scalar])
+
 
 class TestAnnihilatorMatrix:
     def test_example_rows(self):

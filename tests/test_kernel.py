@@ -1,12 +1,13 @@
 """Property tests for the exact integer product kernel and chart evaluation.
 
 The coefficient-by-coefficient loops the kernel replaced are kept here as the
-reference: every product and inverse must agree with them in value and, for
-series, in the type (``Fraction`` or ``QuadExt``) of each coefficient.  Every
-coefficient that a series operation returns over Q(sqrt d) is in normal form:
-a ``Fraction`` when it is rational, else a ``QuadExt`` with v != 0.  So is
-the ``DiskChart.eval_poly`` loop that summed scaled ``LaurentSeries`` powers of
-x(t): evaluation on a chart must agree with it in order and length too.
+reference: every product, inverse and Laurent sum must agree with them in
+value and, for series, in the type (``Fraction`` or ``QuadExt``) of each
+coefficient.  Every coefficient that a series operation returns over
+Q(sqrt d) is in normal form: a ``Fraction`` when it is rational, else a
+``QuadExt`` with v != 0.  So is the ``DiskChart.eval_poly`` loop that summed
+scaled ``LaurentSeries`` powers of x(t): evaluation on a chart must agree
+with it in order and length too.
 """
 
 import functools
@@ -76,6 +77,19 @@ def reference_inverse(coeffs):
             acc = t if acc is None else acc + t
         out.append(-inv0 * acc)
     return out
+
+
+def reference_laurent_add(a, b):
+    """(order, coefficients) of a + b by the per-coefficient loop."""
+    o = min(a.order, b.order)
+    end = min(a.end, b.end)
+    out = [Fraction(0)] * max(end - o, 0)
+    for s in (a, b):
+        for i, c in enumerate(s.series.coeffs):
+            k = s.order + i - o
+            if k < len(out):
+                out[k] = out[k] + c
+    return o, out
 
 
 def kinds(coeffs):
@@ -196,6 +210,18 @@ class TestSeriesProduct:
         assert list(got) == expected
         assert kinds(got) == kinds(expected)
         assert normal_form(got)
+
+    @KERNEL
+    @given(quadratic_pairs(), st.integers(-4, 4), st.integers(-4, 4))
+    def test_laurent_sum_matches_reference(self, pair, order_a, order_b):
+        a = LaurentSeries(order_a, TruncatedSeries(pair[0]))
+        b = LaurentSeries(order_b, TruncatedSeries(pair[1]))
+        got = a + b
+        order, expected = reference_laurent_add(a, b)
+        assert got.order == order
+        assert list(got.series.coeffs) == expected
+        assert kinds(got.series.coeffs) == kinds(expected)
+        assert normal_form(got.series.coeffs)
 
     @KERNEL
     @given(quadratic_series(), small_rationals, small_rationals)
