@@ -31,7 +31,6 @@ from .hyperelliptic import (
     has_smooth_reduction,
     hasse_weil_ok,
     residue_disks,
-    weierstrass_scheme_count,
 )
 from .padics import Prime
 from .pipeline import analyze_disk, result_to_json, run_pipeline
@@ -141,7 +140,7 @@ def cmd_bound(args):
         else:
             _require(good_reduction_at(curve, p), f"p = 2g+1 = {int(p)} excluded for even models")
             report = bounds_mod.thm1_hyperelliptic(
-                g, p, args.nv, total, weierstrass_scheme_count(curve, p), nv_provenance=args.nv_note
+                g, p, args.nv, total, w, nv_provenance=args.nv_note
             )
     attests = []
     if args.attest_rank_eq_g:
@@ -178,7 +177,7 @@ def cmd_operator(args):
         print("no affine Weierstrass disks at this prime")
     for disk in wdisks:
         lead_val = D1.leading.value_mod_p(disk.x_bar, 0, p)
-        line = f"disk {disk}: det(B) = {lead_val} mod {int(p)} (unit)" if lead_val else f"disk {disk}: det(B) = 0"
+        line = f"disk {disk}: det(B) = {lead_val} mod {int(p)} (unit)"
         try:
             chart = weierstrass_chart(curve, disk, p, T)
             cert = check_nice(weierstrass_local_annihilator(chart), p)

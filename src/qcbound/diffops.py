@@ -7,10 +7,11 @@ d/omega_0 = y d/dx, or d/dy = (2y/f') d/dx.  A series operator with base
 
 Every operator meets a disk through one rewrite, ``local_operator(D,
 chart)``: D becomes the series operator sum G_k (d/dt)^k in the disk's own
-local parameter t, through the derivation identity D = V(t) d/dt, V the
-expansion of the base derivation applied to t.  Both jobs read that one
-object: niceness asks for p-integral G_k with the leading one a unit, and
-D(F) is ``apply_series`` of it.
+local parameter t, by Horner's rule over D = V(t) d/dt, V the expansion of
+the base derivation applied to t.  Each Horner step, like
+``compose_with_base``, is the one Leibniz composition with m d/dt.  Both
+jobs read the local operator: niceness asks for p-integral G_k with the
+leading one a unit, and D(F) is ``apply_series`` of it.
 
 The annihilator of functions F_1 .. F_m built from an index set
 S = {n_1 < ... < n_{m+1}} is
@@ -89,6 +90,8 @@ class DifferentialOperator:
 
 
 def _is_zero_coeff(c):
+    if isinstance(c, LaurentSeries):
+        c = c.series
     if isinstance(c, TruncatedSeries):
         return c.is_known_zero()
     return not c
@@ -145,10 +148,35 @@ def apply_series(D, F):
     return out
 
 
-def _coeff_laurent(g, chart):
-    if isinstance(g, CurveFunction):
-        return chart.laurent(g)
-    return LaurentSeries.from_series(g)
+def _chart_derivation(chart, base):
+    """The Laurent series V with base = V(t) d/dt: 1/(dx/dt), 1/(dy/dt) or y/(dx/dt)."""
+    if base == "dx":
+        return chart.dx_dt.inverse()
+    if base == "dy":
+        return chart.y.derivative().inverse()
+    return chart.y / chart.dx_dt
+
+
+def _leibniz(coeffs, m):
+    """Coefficients of (sum_i c_i D^i) o (m D), for D = d/dx on curve functions
+    or d/dt on (Laurent) series: slot i - k + 1 receives binom(i, k) c_i m^(k).
+
+    Known-zero c_i and m^(k) are skipped; a slot nothing reaches is None,
+    which counts as a zero c_i when the result is composed again.
+    """
+    chain = [(k, mk) for k, mk in enumerate(_derivation_chain(m, len(coeffs) - 1, "dx"))
+             if not _is_zero_coeff(mk)]
+    out = [None] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        if _is_zero_coeff(c):
+            continue
+        for k, mk in chain:
+            if k > i:
+                break
+            term = c * mk if k in (0, i) else _scaled(c * mk, comb(i, k))
+            j = i - k + 1
+            out[j] = term if out[j] is None else out[j] + term
+    return out
 
 
 def local_operator(D, chart):
@@ -156,41 +184,24 @@ def local_operator(D, chart):
 
     An operator that is already in the chart parameter (series coefficients,
     base 'dx', which then means d/dt) comes back unchanged.  Otherwise
-    D = V(t) d/dt, with V the expansion of the base derivation applied to t,
-    and the recursion c_{i+1,k} = V (c_{i,k}' + c_{i,k-1}) gives
-    D^i = sum_k c_{i,k} (d/dt)^k.  The G_k are regular parts: PoleError when
-    one has a pole on the disk.  The result keeps the order of D even when
-    its leading local coefficient is known zero, so niceness sees that slot.
+    D = V(t) d/dt (``_chart_derivation``), and Horner's rule
+    sum_i g_i D^i = ((g_N D + g_(N-1)) D + ...) D + g_0 composes in Laurent
+    series, one ``_leibniz`` per step.  The G_k are regular parts cut to the
+    chart's T: PoleError when one has a pole on the disk.  The result keeps
+    the order of D even when its leading local coefficient is known zero, so
+    niceness sees that slot.
     """
     if D.base == "dx" and not any(isinstance(g, CurveFunction) for g in D.coeffs):
         return D
-    if D.base == "dx":
-        V = chart.dx_dt.inverse()
-    elif D.base == "dy":
-        V = chart.y.derivative().inverse()
-    else:
-        V = chart.y / chart.dx_dt
-    zero = LaurentSeries.from_series(TruncatedSeries.zero(chart.T))
-    one = LaurentSeries.from_series(TruncatedSeries.from_polynomial([1], chart.T))
-    rows = [[one]]  # rows[i][k] = c_{i,k}
-    for _ in range(D.order):
-        prev = rows[-1]
-        nxt = []
-        for k in range(len(prev) + 1):
-            acc = prev[k].derivative() if k < len(prev) else None
-            if k >= 1:
-                acc = prev[k - 1] if acc is None else acc + prev[k - 1]
-            nxt.append(V * acc)
-        rows.append(nxt)
-    out = [zero] * (D.order + 1)
-    for i, g in enumerate(D.coeffs):
-        if _is_zero_coeff(g):
-            continue
-        gl = _coeff_laurent(g, chart)
-        for k in range(i + 1):
-            out[k] = out[k] + gl * rows[i][k]
+    V = _chart_derivation(chart, D.base)
+    L = []
+    for g in reversed(D.coeffs):
+        L = _leibniz(L, V)
+        L[0] = chart.laurent(g) if isinstance(g, CurveFunction) else LaurentSeries.from_series(g)
     return DifferentialOperator._untrimmed(
-        [L.regular_part(context=f"disk {chart.disk}") for L in out]
+        [TruncatedSeries.zero(chart.T) if G is None
+         else TruncatedSeries(G.regular_part(context=f"disk {chart.disk}").coeffs[:chart.T])
+         for G in L]
     )
 
 
@@ -245,7 +256,7 @@ def _derivation_chain(F, max_order, base):
     chain = [F]
     for _ in range(max_order):
         cur = chain[-1]
-        if isinstance(cur, TruncatedSeries):
+        if isinstance(cur, (TruncatedSeries, LaurentSeries)):
             chain.append(cur.derivative())
         elif base == "dx":
             chain.append(cur.d_dx())
@@ -335,8 +346,8 @@ def build_annihilator(S, funcs, base="dx"):
 
 
 def _scaled(entry, c):
-    """c * entry for a series or an algebraic operator entry."""
-    return entry.scale(c) if isinstance(entry, TruncatedSeries) else entry * c
+    """c * entry for a (Laurent) series or an algebraic operator entry."""
+    return entry * c if isinstance(entry, CurveFunction) else entry.scale(c)
 
 
 def _zero_like(template):
@@ -399,7 +410,7 @@ def compose_with_base(D1, base, chart=None):
     """D1 composed with one copy of the base derivation: D(F) = D1(base F).
 
     Matching bases shift the coefficient list.  A d/dx operator composed with
-    d/omega0 = m d/dx expands through Leibniz into a d/dx operator with
+    d/omega0 = m d/dx expands through ``_leibniz`` into a d/dx operator with
     leading coefficient g_N * m.  For algebraic coefficients m = y; the
     result's niceness must be re-checked where y is not a unit (Weierstrass
     disks flag this).  For series coefficients, which are already written in
@@ -407,26 +418,17 @@ def compose_with_base(D1, base, chart=None):
     m = V, the expansion of y / (dx/dt).
     """
     if base == D1.base:
-        zero = _zero_like(D1.coeffs[-1])
-        return DifferentialOperator([zero] + list(D1.coeffs), base=D1.base)
+        return DifferentialOperator([_zero_like(D1.leading), *D1.coeffs], base=D1.base)
     if D1.base != "dx" or base != "omega0":
         raise DomainError("composition of a d/omega0 operator with d/dx is not supported")
     if D1.is_algebraic():
         model = next(c.model for c in D1.coeffs if isinstance(c, CurveFunction))
         m = CurveFunction.y(model)
     elif chart is not None:
-        m = (chart.y / chart.dx_dt).regular_part(context=f"disk {chart.disk}")
+        m = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
     else:
         raise DomainError("series coefficients need the chart of their disk")
-    m_chain = _derivation_chain(m, D1.order, "dx")
-    out = [None] * (D1.order + 2)
-    for i, g in enumerate(D1.coeffs):
-        if _is_zero_coeff(g):
-            continue
-        for k in range(i + 1):
-            # (d/dx)^i (m F') contributes binom(i,k) m^(k) F^(i-k+1)
-            term = _scaled(g * m_chain[k], comb(i, k))
-            out[i - k + 1] = term if out[i - k + 1] is None else out[i - k + 1] + term
+    out = _leibniz(D1.coeffs, m)
     # the nonzero leading g_N reaches every slot but the first
     out[0] = _zero_like(D1.leading)
     return DifferentialOperator(out, base="dx")

@@ -132,11 +132,8 @@ def spec_input_floor(spec):
     for row in spec.a_matrix:
         vals.extend(valuation(c, spec.p) for c in row if c)
     vals.extend(valuation(c, spec.p) for c in spec.a_vector if c)
-    for part in (spec.h.a, spec.h.b) if spec.h else ():
-        vals.extend(valuation(c, spec.p) for c in part.num.coeffs if c)
-        vals.extend(valuation(c, spec.p) for c in part.den.coeffs if c)
-    if spec.eta:
-        for part in (spec.eta.a, spec.eta.b):
+    for F in (spec.h, spec.eta):
+        for part in (F.a, F.b) if F else ():
             vals.extend(valuation(c, spec.p) for c in part.num.coeffs if c)
             vals.extend(valuation(c, spec.p) for c in part.den.coeffs if c)
     for const in spec.constants.values():

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from perfbench_support import workload_cases
 
 from qcbound.diffops import (
     DifferentialOperator,
@@ -23,9 +24,10 @@ from qcbound.errors import (
     PrecisionError,
     SearchExhaustedError,
 )
-from qcbound.funcfield import CurveFunction, nonweierstrass_chart, weierstrass_chart
+from qcbound.funcfield import CurveFunction, chart_for, nonweierstrass_chart, weierstrass_chart
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
 from qcbound.padics import INFINITY
+from qcbound.pipeline import SpecPlan
 from qcbound.polys import Poly
 from qcbound.series import LaurentSeries, TruncatedSeries
 
@@ -405,6 +407,45 @@ def laurent_apply_on_chart(D, F, chart):
     return out.regular_part()
 
 
+def row_table_local_operator(D, chart):
+    """The former ``local_operator``, kept as the reference: the row table
+    c_(i+1,k) = V (c_(i,k)' + c_(i,k-1)) gives D^i = sum_k c_(i,k) (d/dt)^k,
+    and G_k = sum_i g_i c_(i,k) is summed in Laurent series."""
+    if D.base == "dx" and not any(isinstance(g, CurveFunction) for g in D.coeffs):
+        return D
+    if D.base == "dx":
+        V = chart.dx_dt.inverse()
+    elif D.base == "dy":
+        V = chart.y.derivative().inverse()
+    else:
+        V = chart.y / chart.dx_dt
+    zero = LaurentSeries.from_series(TruncatedSeries.zero(chart.T))
+    one = LaurentSeries.from_series(TruncatedSeries.one(chart.T))
+    rows = [[one]]
+    for _ in range(D.order):
+        prev = rows[-1]
+        nxt = []
+        for k in range(len(prev) + 1):
+            acc = prev[k].derivative() if k < len(prev) else None
+            if k >= 1:
+                acc = prev[k - 1] if acc is None else acc + prev[k - 1]
+            nxt.append(V * acc)
+        rows.append(nxt)
+    out = [zero] * (D.order + 1)
+    for i, g in enumerate(D.coeffs):
+        if isinstance(g, TruncatedSeries):
+            if g.is_known_zero():
+                continue
+            gl = LaurentSeries.from_series(g)
+        elif not g:
+            continue
+        else:
+            gl = chart.laurent(g)
+        for k in range(i + 1):
+            out[k] = out[k] + gl * rows[i][k]
+    return DifferentialOperator._untrimmed([L.regular_part() for L in out])
+
+
 def reference_charts():
     """A rational and a Q(sqrt 60) non-Weierstrass chart and a Weierstrass
     chart of the genus-2 even curve at p = 7, all at T = 20."""
@@ -504,3 +545,38 @@ class TestLocalOperator:
         assert not cert.ok
         assert cert.unit_witness == INFINITY
         assert cert.failure_index == 1
+
+    @pytest.mark.parametrize("chart_name", ["rational", "quadratic", "weierstrass"])
+    def test_horner_extends_the_row_table(self, chart_name):
+        # Horner's rule composes with V d/dt and never differentiates the
+        # constant series the row table starts from: every G_k is known at
+        # least as far, and agrees on what the row table knows
+        C, charts = reference_charts()
+        chart = charts[chart_name]
+        ops = algebraic_operators(C)
+        if chart_name != "weierstrass":
+            ops.update(nonweierstrass_operators(C, chart))
+        for name, D in ops.items():
+            got = local_operator(D, chart).coeffs
+            want = row_table_local_operator(D, chart).coeffs
+            assert len(got) == len(want), name
+            for k, (G, W) in enumerate(zip(got, want)):
+                assert G.truncation >= W.truncation, (name, k)
+                assert G.agrees_with(W, upto=W.truncation), (name, k)
+
+    def test_nonweierstrass_disks_keep_the_chart_precision(self):
+        # t = x - x0 on a non-Weierstrass chart, so V = 1/(dx/dt) = 1 and only
+        # the one coefficient that dx/dt gives up may be lost
+        (case,) = workload_cases("genus2_even_p7", 3)
+        spec = case.spec
+        disks = residue_disks(spec.curve, spec.p)
+        plan = SpecPlan(spec, disks)
+        nonweierstrass = [d for d in disks if d.kind == "affine_nonweierstrass"]
+        assert nonweierstrass
+        for disk in nonweierstrass:
+            chart = chart_for(spec.curve, disk, spec.p, spec.T, plan.units)
+            D = plan.operators[disk.kind].operator()[0]
+            L = local_operator(D, chart)
+            assert L.order == D.order
+            known = [G.truncation for G in L.coeffs]
+            assert min(known) >= spec.T - 1, (str(disk), known)
