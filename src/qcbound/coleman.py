@@ -130,9 +130,11 @@ def expand_G(spec, chart):
     """The assembled series of G on the chart's disk.
 
     Each basis integrand (omega_j/dt)(t) that some term uses is built once.
-    Its antiderivative with the disk constant c_j is the single integral I_j,
-    and row i of the double integrals multiplies the integrand of omega_i by
-    the I_j it needs before integrating, as ``expand_double_integral`` does.
+    Its antiderivative with the disk constant c_j is the single integral I_j.
+    Row i of the double integrals is one product and one antiderivative,
+    since sum_j a_ij (int omega_i I_j + c_ij) = int omega_i (sum_j a_ij I_j)
+    + sum_j a_ij c_ij; its truncation is the one the sum of the
+    ``expand_double_integral`` terms would have.
     """
     consts = spec.constants_for(chart.disk)
     # omega_j is an outer integrand when row j is used, and I_j is needed when
@@ -145,10 +147,16 @@ def expand_G(spec, chart):
                for integrand, i, c in zip(integrands, as_inner, consts.singles)]
     out = None
     for row, outer, doubles in zip(spec.a_matrix, integrands, consts.doubles):
-        for a, inner, c in zip(row, singles, doubles):
+        if not any(row):
+            continue
+        inner, constant = None, Fraction(0)
+        for a, single, c in zip(row, singles, doubles):
             if a:
-                J = (outer * inner).antiderivative(c).scale(a)
-                out = J if out is None else out + J
+                term = single.scale(a)
+                inner = term if inner is None else inner + term
+                constant += a * c
+        J = (outer * inner).antiderivative(constant)
+        out = J if out is None else out + J
     for a, single in zip(spec.a_vector, singles):
         if a:
             term = single.scale(a)

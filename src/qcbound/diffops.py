@@ -22,7 +22,11 @@ where A is the m x (m+1) matrix with entries (1/n_j!) D^{n_j} F_i and A^(i)
 deletes column i.  Determinants are evaluated by a division-free expansion
 shared across all minors (a subset dynamic program over columns); over
 truncated series this loses no precision, unlike fraction-free elimination,
-whose exact divisions by positive-order pivots would.
+whose exact divisions by positive-order pivots would.  When every F_i is a
+rational series (always so on a Weierstrass chart), row i is written over the
+common denominator of F_i and the same dynamic program runs on integer
+numerators, one ``convolve`` per product and none with a known-zero factor;
+each minor becomes Fractions once, at the end.
 """
 
 from dataclasses import dataclass
@@ -39,7 +43,7 @@ from .errors import (
 from .funcfield import CurveFunction
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, as_prime, reduce_mod, valuation
-from .polys import Poly
+from .polys import Poly, common_denominator, convolve
 from .series import LaurentSeries, TruncatedSeries
 
 
@@ -267,8 +271,8 @@ def _derivation_chain(F, max_order, base):
     return chain
 
 
-def annihilator_matrix(S, funcs, base="dx"):
-    """The m x (m+1) matrix with (i, j) entry (1/n_j!) D^{n_j} F_i."""
+def _index_set(S, funcs):
+    """S sorted, after checking that it fits m = len(funcs) inputs and their truncations."""
     S = sorted(S)
     if len(set(S)) != len(S):
         raise DomainError("S must be strictly increasing")
@@ -280,6 +284,12 @@ def annihilator_matrix(S, funcs, base="dx"):
                 f"truncation {F.truncation} too low for derivative order {S[-1]}",
                 needed=S[-1] + 1,
             )
+    return S
+
+
+def annihilator_matrix(S, funcs, base="dx"):
+    """The m x (m+1) matrix with (i, j) entry (1/n_j!) D^{n_j} F_i."""
+    S = _index_set(S, funcs)
     rows = []
     for F in funcs:
         chain = _derivation_chain(F, S[-1], base)
@@ -292,12 +302,75 @@ def annihilator_matrix(S, funcs, base="dx"):
     return rows
 
 
+class _IntEntry:
+    """A rational series matrix entry as integer numerators over its row's
+    common denominator, known to ``n`` coefficients; ``ints`` is None when
+    the entry is known zero.
+
+    Products and sums keep ``TruncatedSeries``' truncation (the shorter
+    operand) and do no arithmetic on a known zero, so ``_minor_determinants``
+    runs on these entries unchanged, each product one ``convolve``.
+    """
+
+    __slots__ = ("n", "ints")
+
+    def __init__(self, n, ints):
+        self.n, self.ints = n, ints
+
+    def __mul__(self, other):
+        n = min(self.n, other.n)
+        if self.ints is None or other.ints is None:
+            return _IntEntry(n, None)
+        return _IntEntry(n, convolve(self.ints, other.ints, n))
+
+    def __neg__(self):
+        return _IntEntry(self.n, None if self.ints is None else [-c for c in self.ints])
+
+    def __add__(self, other):
+        n = min(self.n, other.n)
+        if other.ints is None:
+            return _IntEntry(n, None if self.ints is None else self.ints[:n])
+        if self.ints is None:
+            return _IntEntry(n, other.ints[:n])
+        return _IntEntry(n, [a + b for a, b in zip(self.ints, other.ints)])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def series(self, den):
+        """The entry as a TruncatedSeries of Fractions over ``den``."""
+        if self.ints is None:
+            return TruncatedSeries.zero(self.n)
+        return TruncatedSeries([Fraction(c, den) for c in self.ints])
+
+
+def _integer_rows(S, funcs):
+    """(den, rows): the rows of ``annihilator_matrix`` for rational series,
+    row i written over the common denominator L_i of F_i, and den = prod L_i.
+
+    With F_i = ints / L_i, the entry (1/n!) D^n F_i has numerators
+    C(j, n) ints[j] for j >= n, known to len(F_i) - n coefficients.
+    """
+    den, rows = 1, []
+    for F in funcs:
+        L, ints = common_denominator(F.coeffs)
+        den *= L
+        row = []
+        for n in S:
+            entry = [comb(j, n) * c for j, c in enumerate(ints[n:], n)]
+            row.append(_IntEntry(len(entry), entry if any(entry) else None))
+        rows.append(row)
+    return den, rows
+
+
 def _minor_determinants(rows):
     """All maximal minors det(A^(i)) of an m x (m+1) matrix, one per deleted column.
 
     Division-free dynamic program: dp maps a k-subset of columns to the
     determinant of the first k rows restricted to it, expanding along the last
-    row; every maximal minor shares the lower levels.
+    row; every maximal minor shares the lower levels.  Entries need only
+    ``*``, ``+``, ``-`` and unary ``-``: curve functions, series, or the
+    integer entries of ``_integer_rows``.
     """
     m = len(rows)
     ncols = len(rows[0])
@@ -327,11 +400,19 @@ def build_annihilator(S, funcs, base="dx"):
     """Nice-candidate annihilator of F_1..F_m from the index set S.
 
     D = sum_i (-1)^(i+1) (n_{m+1}!/n_i!) det(A^(i)) D^{n_i}; annihilates every
-    F_i identically (bordered matrix with a repeated row).
+    F_i identically (bordered matrix with a repeated row).  Rational series
+    inputs take the integer rows of ``_integer_rows``; curve functions and
+    series over Q(sqrt d) take the entries of ``annihilator_matrix``.  Both
+    run ``_minor_determinants`` and give the same coefficients, types and
+    truncations.
     """
-    S = sorted(S)
-    rows = annihilator_matrix(S, funcs, base=base)
-    minors = _minor_determinants(rows)
+    S = _index_set(S, funcs)
+    rational = (int, Fraction)
+    if all(isinstance(F, TruncatedSeries) and all(isinstance(c, rational) for c in F.coeffs) for F in funcs):
+        den, rows = _integer_rows(S, funcs)
+        minors = [minor.series(den) for minor in _minor_determinants(rows)]
+    else:
+        minors = _minor_determinants(annihilator_matrix(S, funcs, base=base))
     if all(_is_zero_coeff(d) for d in minors):
         raise DegenerateOperatorError(
             "all maximal minors vanish: the input functions are linearly dependent"

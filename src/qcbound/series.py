@@ -187,9 +187,15 @@ def _product(a, b, n):
     Rational factors take one integer product.  Otherwise every ``QuadExt``
     coefficient must lie in one field Q(sqrt d), and the product takes three
     (two when one factor is rational).  Each coefficient k is built as a
-    ``QuadExt``, which is a ``Fraction`` when its sqrt(d) part is zero.
+    ``QuadExt``, which is a ``Fraction`` when its sqrt(d) part is zero.  A
+    constant factor (no nonzero coefficient past index 0) scales the other
+    one instead, with the same values, types and length.
     """
     a, b = a[:n], b[:n]
+    for const, other in ((a, b), (b, a)):
+        if const and not any(const[1:]):
+            c = Fraction(const[0]) if isinstance(const[0], int) else const[0]
+            return [c * x for x in other] + [Fraction(0)] * (n - len(other))
     fields = {c.d for c in (*a, *b) if isinstance(c, QuadExt)}
     if not fields:
         return rational_convolve(a, b, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import random
@@ -137,6 +138,35 @@ def elliptic_spec(a=Fraction(2), b=Fraction(3), p=5, T=16):
     )
 
 
+def affine_charts(spec):
+    """The chart of every affine disk with a rational or quadratic centre."""
+    for disk in residue_disks(spec.curve, spec.p):
+        if disk.kind == "infinite":
+            continue
+        try:
+            yield chart_for(spec.curve, disk, spec.p, spec.T)
+        except DomainError:       # irrational Weierstrass centre
+            continue
+
+
+def constituent_sum(spec, chart):
+    """G as the sum of one ``expand_double_integral`` per nonzero a_ij, one
+    ``expand_single_integral`` per nonzero a_i, eta and h."""
+    consts = spec.constants_for(chart.disk)
+    basis = spec.basis
+    terms = [
+        expand_double_integral(basis[i], basis[j], chart, consts.singles[j], consts.doubles[i][j]).scale(a)
+        for i, row in enumerate(spec.a_matrix) for j, a in enumerate(row) if a
+    ]
+    terms += [expand_single_integral(basis[i], chart, consts.singles[i]).scale(a)
+              for i, a in enumerate(spec.a_vector) if a]
+    if spec.eta:
+        terms.append(expand_single_integral(spec.eta, chart, consts.eta))
+    if spec.h:
+        terms.append(chart.expand(spec.h))
+    return functools.reduce(TruncatedSeries.__add__, terms)
+
+
 class TestExpandG:
     def test_zero_spec(self):
         C = elliptic()
@@ -165,33 +195,50 @@ class TestExpandG:
     @pytest.mark.parametrize("workload", ["genus1_batch", "genus2_even_p7"])
     @pytest.mark.parametrize("seed", [0, 3])
     def test_workload_assembly_matches_constituents(self, workload, seed):
-        # expand_G builds each basis integrand once; the constituent expansions
-        # build theirs per call, and the sums must agree exactly, types included
+        # expand_G builds each basis integrand once and takes one product per
+        # row of A; the constituent expansions build theirs per entry, and the
+        # sums must agree exactly, types included
         for case in workload_cases(workload, seed):
-            spec = case.spec
-            for disk in residue_disks(spec.curve, spec.p):
-                if disk.kind == "infinite":
-                    continue
-                try:
-                    chart = chart_for(spec.curve, disk, spec.p, spec.T)
-                except DomainError:       # irrational Weierstrass centre
-                    continue
-                consts = spec.constants_for(disk)
-                basis = spec.basis
-                terms = [
-                    expand_double_integral(basis[i], basis[j], chart, consts.singles[j], consts.doubles[i][j]).scale(a)
-                    for i, row in enumerate(spec.a_matrix) for j, a in enumerate(row) if a
-                ]
-                terms += [expand_single_integral(basis[i], chart, consts.singles[i]).scale(a)
-                          for i, a in enumerate(spec.a_vector) if a]
-                if spec.eta:
-                    terms.append(expand_single_integral(spec.eta, chart, consts.eta))
-                if spec.h:
-                    terms.append(chart.expand(spec.h))
-                manual = functools.reduce(TruncatedSeries.__add__, terms)
-                G = expand_G(spec, chart)
-                assert G == manual, (case.spec_id, str(disk))
+            for chart in affine_charts(case.spec):
+                G = expand_G(case.spec, chart)
+                manual = constituent_sum(case.spec, chart)
+                assert G == manual, (case.spec_id, str(chart.disk))
                 assert [type(c) for c in G.coeffs] == [type(c) for c in manual.coeffs]
+
+    def test_disk_constants_enter_once_per_row(self, monkeypatch):
+        # the workloads carry no disk constants, so give every affine disk of
+        # genus2_even_p7 its own, the two disks of the Q(sqrt 60) pair included
+        (case,) = workload_cases("genus2_even_p7", 3)
+        rng = random.Random(3)
+        n = len(case.spec.basis)
+
+        def draw():
+            return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+        disks = [d for d in residue_disks(case.spec.curve, case.spec.p) if d.kind != "infinite"]
+        constants = {str(d): DiskConstants([draw() for _ in range(n)], [[draw() for _ in range(n)] for _ in range(n)])
+                     for d in disks}
+        spec = dataclasses.replace(case.spec, constants=constants)
+        charts = list(affine_charts(spec))
+        assert len(charts) == len(disks) == 7
+        pair = [chart.disk for chart in charts if chart.embedding is not None]
+        assert len(pair) == 2 and constants[str(pair[0])] != constants[str(pair[1])]
+        a = spec.a_matrix
+        rows = sum(any(row) for row in a)
+        singles = sum(bool(any(col) or v) for col, v in zip(zip(*a), spec.a_vector))
+        assert 0 < rows < sum(map(bool, sum(a, [])))     # fewer rows than entries
+        calls = []
+        antiderivative = TruncatedSeries.antiderivative
+        monkeypatch.setattr(TruncatedSeries, "antiderivative",
+                            lambda s, constant=0: calls.append(1) or antiderivative(s, constant))
+        for chart in charts:
+            calls.clear()
+            G = expand_G(spec, chart)
+            assert len(calls) == rows + singles, str(chart.disk)
+            manual = constituent_sum(spec, chart)
+            assert G == manual, str(chart.disk)
+            assert [type(c) for c in G.coeffs] == [type(c) for c in manual.coeffs]
+            assert G.coeffs[0] != expand_G(case.spec, chart).coeffs[0]
 
     def test_builds_only_the_integrands_in_use(self, monkeypatch):
         # a_matrix[0][1] and a_vector[1] use omega_0 as an outer integrand and

@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from perfbench_support import workload_cases
 
 from qcbound.diffops import (
     DifferentialOperator,
+    _minor_determinants,
     annihilator_matrix,
     apply_on_chart,
     apply_series,
@@ -17,6 +20,7 @@ from qcbound.diffops import (
     search_nice_S,
     weierstrass_annihilator,
     weierstrass_local_annihilator,
+    weierstrass_orders,
 )
 from qcbound.errors import (
     DegenerateOperatorError,
@@ -376,6 +380,108 @@ class TestWeierstrassAnnihilator:
                 F = chart.expand(CurveFunction.x_power_over_y(C, j) * CurveFunction.y(C))
                 out = apply_series(D1, F)
                 assert out.is_known_zero()
+
+
+def generic_annihilator(S, funcs):
+    """The coefficients of ``build_annihilator``, or DegenerateOperatorError,
+    from the minor DP on the ``TruncatedSeries`` entries of
+    ``annihilator_matrix``."""
+    S = sorted(S)
+    minors = _minor_determinants(annihilator_matrix(S, funcs))
+    if all(m.is_known_zero() for m in minors):
+        return DegenerateOperatorError
+    coeffs = [TruncatedSeries.zero(minors[0].truncation)] * (S[-1] + 1)
+    for i, (n, det) in enumerate(zip(S, minors)):
+        coeffs[n] = det.scale((-1) ** i * Fraction(factorial(S[-1]), factorial(n)))
+    return DifferentialOperator(coeffs).coeffs
+
+
+def built_annihilator(S, funcs):
+    try:
+        return build_annihilator(S, funcs).coeffs
+    except DegenerateOperatorError:
+        return DegenerateOperatorError
+
+
+def same_coefficients(got, expected):
+    """Equal values, truncations and coefficient types."""
+    if isinstance(expected, type):
+        return got is expected
+    return (not isinstance(got, type) and got == expected
+            and [[type(c) for c in g.coeffs] for g in got] == [[type(c) for c in e.coeffs] for e in expected])
+
+
+def weierstrass_inputs(chart):
+    """1, x, ..., x^(m-1) on a Weierstrass chart, as ``weierstrass_local_annihilator`` reads them."""
+    C = chart.model
+    return [TruncatedSeries(chart.expand(CurveFunction(C, Poly.x_power(k))).coeffs[:chart.T])
+            for k in range(C.basis_size)]
+
+
+WEIERSTRASS_CHARTS = [
+    ("genus2_even_p7", genus2_even().f.coeffs, "even", 7, 26, 3),
+    ("genus2_even_p7", genus2_even().f.coeffs, "even", 7, 52, 3),
+    ("x(x^2-1)(x^2-4)", [0, 4, 0, -5, 0, 1], "odd", 11, 40, 5),
+    ("x^3-x", [0, -1, 0, 1], "odd", 7, 5, 3),
+    ("x^3-x", [0, -1, 0, 1], "odd", 7, 12, 3),
+    ("x^3-x", [0, -1, 0, 1], "odd", 7, 20, 3),
+]
+
+rational_coefficients = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 40)),
+)
+
+
+@st.composite
+def annihilator_inputs(draw):
+    """(S, funcs): rational series of mixed lengths, many of them polynomials
+    of low degree, whose high-order entries are known zero."""
+    m = draw(st.integers(1, 3))
+    S = sorted(draw(st.sets(st.integers(0, 7), min_size=m + 1, max_size=m + 1)))
+    funcs = []
+    for _ in range(m):
+        T = draw(st.integers(S[-1] + 1, S[-1] + 6))
+        nonzero = draw(st.integers(0, T))
+        coeffs = draw(st.lists(rational_coefficients, min_size=nonzero, max_size=nonzero))
+        funcs.append(TruncatedSeries(coeffs + [Fraction(0)] * (T - nonzero)))
+    return S, funcs
+
+
+class TestIntegerMinors:
+    """On rational series the annihilator's minors run on integer rows; the
+    minor DP on ``TruncatedSeries`` entries is the reference."""
+
+    @pytest.mark.parametrize("name, f, kind, p, T, disks", WEIERSTRASS_CHARTS)
+    def test_weierstrass_charts_match_the_series_minors(self, name, f, kind, p, T, disks):
+        C = CurveModel(kind, f)
+        charts = [weierstrass_chart(C, d, p, T) for d in residue_disks(C, p) if d.kind == "affine_weierstrass"]
+        assert len(charts) == disks
+        for chart in charts:
+            funcs = weierstrass_inputs(chart)
+            expected = generic_annihilator(weierstrass_orders(C), funcs)
+            assert same_coefficients(built_annihilator(weierstrass_orders(C), funcs), expected), (name, chart.disk)
+            assert same_coefficients(weierstrass_local_annihilator(chart).coeffs, expected), (name, chart.disk)
+
+    @settings(max_examples=150, deadline=None)
+    @given(annihilator_inputs())
+    def test_random_rational_series_match_the_series_minors(self, inputs):
+        S, funcs = inputs
+        assert same_coefficients(built_annihilator(S, funcs), generic_annihilator(S, funcs))
+
+    def test_rational_series_make_no_series_product(self, monkeypatch):
+        C = genus2_even()
+        disk = next(d for d in residue_disks(C, 7) if d.kind == "affine_weierstrass")
+        funcs = weierstrass_inputs(weierstrass_chart(C, disk, 7, 26))
+        products = []
+        mul = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        D = build_annihilator(weierstrass_orders(C), funcs)
+        assert D.order == 9 and not products
+        # the counter sees the reference's products
+        _minor_determinants(annihilator_matrix(weierstrass_orders(C), funcs))
+        assert len(products) == 180
 
 
 def laurent_apply_on_chart(D, F, chart):

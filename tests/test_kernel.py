@@ -202,6 +202,22 @@ class TestSeriesProduct:
         assert normal_form(got)
 
     @KERNEL
+    @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 10), st.booleans())
+    def test_constant_factor_matches_reference(self, data, d, length, first):
+        # a factor with no nonzero coefficient past index 0 scales the other;
+        # an int coefficient is read as a Fraction
+        coefficients = st.one_of(st.integers(-9, 9), quadratic_coefficients(d))
+        b = data.draw(st.lists(coefficients, max_size=10))
+        c = data.draw(coefficients)
+        const = [c] + [Fraction(0)] * length
+        x, y = (const, b) if first else (b, const)
+        got = (TruncatedSeries(x) * TruncatedSeries(y)).coeffs
+        expected = reference_series_mul(x, y)
+        assert list(got) == expected
+        assert kinds(got) == kinds(expected)
+        assert normal_form(got)
+
+    @KERNEL
     @given(quadratic_pairs())
     def test_sum_matches_reference(self, pair):
         a, b = pair

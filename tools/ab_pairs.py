@@ -1,0 +1,81 @@
+"""Alternate the benchmark between a parent checkout and this one.
+
+    python3 tools/ab_pairs.py PARENT_DIR --workload genus2_even_p7 --seed 3 --pairs 10
+
+PARENT_DIR is a second checkout of the parent commit (for example
+``git worktree add ../parent HEAD~1``).  Each pair runs
+``perfbench/run.py --trace 0`` once in each checkout for the ``run_seconds``
+of BENCHMARK.json, one after the other,
+and swaps which side goes first from one pair to the next, so that a drift
+of the machine lands on both sides alike.  Each side runs its own sources
+and writes its own perfbench/out/.
+
+For every end-to-end metric of BENCHMARK.json this prints the median of
+each side, the parent's quartiles, the median over pairs of the ratio
+change / parent, and in how many pairs the change was better.  Exits 1 when any run fails its
+correctness gate, 0 otherwise.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_once(checkout, args, seconds):
+    """The last stdout line of one benchmark run in ``checkout``, parsed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
+    return json.loads(lines[-1])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, default=3)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
+    values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    correct = True
+    for i in range(args.pairs):
+        order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
+        for side in order:
+            out = run_once(sides[side], args, seconds)
+            correct &= out["correct"]
+            for m in metrics:
+                values[side][m["name"]].append(out["metrics"][m["name"]]["value"])
+        print(f"pair {i + 1}: " + "  ".join(
+            f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> {values['change'][m['name']][-1]:.4g}"
+            for m in metrics), flush=True)
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {seconds}")
+    print(f"{'metric':<14} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'ratio':>8}  better")
+    for m in metrics:
+        name = m["name"]
+        parent, change = values["parent"][name], values["change"][name]
+        ratios = [c / p for p, c in zip(parent, change) if p]
+        lower = m["better"] == "lower"
+        better = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
+        quartiles = f"{q1:.4g}-{q3:.4g}"
+        print(f"{name:<14} {statistics.median(parent):>10.4g} {quartiles:>21} {statistics.median(change):>10.4g} "
+              f"{ratio:>8}  {better}/{args.pairs}")
+    if not correct:
+        print("a run failed its correctness gate", file=sys.stderr)
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
