@@ -71,7 +71,6 @@ from .hyperelliptic import (
     good_reduction_at,
     has_smooth_reduction,
     residue_disks,
-    weierstrass_scheme_count,
 )
 from .padics import (
     INFINITY,

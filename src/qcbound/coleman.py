@@ -17,6 +17,21 @@ third-kind differential eta given as a dx-quotient, and an algebraic h.
 Integrands are assembled as omega/dt, so expansions exist on Weierstrass
 disks too, where the dx-quotients themselves have poles but the
 differentials do not.
+
+The algebraic image D(G) of an operator D = sum g_k delta^k with algebraic
+coefficients is derived from D itself (``algebraic_image``).  G is written as
+an algebraic part plus CurveFunction multiples of the atoms I_j = int omega_j,
+J_ij = int omega_i omega_j and I_eta = int eta.  The base derivation is
+delta = m d/dx, with m = 1, y or 2y/f' for d/dx, d/omega_0 or d/dy, and acts
+on each atom by Leibniz's rule and the convention above:
+
+    delta(c J_ij)  = delta(c) J_ij  + c m (x^i/y) I_j,
+    delta(c I_j)   = delta(c) I_j   + c m x^j/y,
+    delta(c I_eta) = delta(c) I_eta + c m eta.
+
+D kills the integrals when every atom's coefficient in sum g_k delta^k G is
+exactly the zero function; D(G) is then the algebraic part, proved algebraic
+by that cancellation rather than assumed.
 """
 
 import json
@@ -172,6 +187,55 @@ def expand_G(spec, chart):
     return out
 
 
+def algebraic_image(D, spec):
+    """D(G) as a CurveFunction for D = sum g_k delta^k with algebraic
+    coefficients, by the atom rule of the module docstring.  DomainError names
+    an atom whose coefficient in D(G) is not exactly the zero function."""
+    if not D.is_algebraic():
+        raise DomainError("the algebraic image needs an operator with algebraic coefficients")
+    C = spec.curve
+    derive = {"dx": CurveFunction.d_dx, "omega0": CurveFunction.d_by_omega0,
+              "dy": CurveFunction.d_dy}[D.base]
+    m = derive(CurveFunction.x(C))
+    m_basis = [m * omega for omega in spec.basis]
+    # atom -> (the atom delta leaves beside it, or None when that term is algebraic; its factor)
+    rule, atoms = {}, {}
+    for j, a in enumerate(spec.a_vector):
+        rule[f"int omega_{j}"], atoms[f"int omega_{j}"] = (None, m_basis[j]), a
+        for i, row in enumerate(spec.a_matrix):
+            rule[f"int omega_{i} omega_{j}"] = (f"int omega_{j}", m_basis[i])
+            atoms[f"int omega_{i} omega_{j}"] = row[j]
+    if spec.eta is not None and spec.eta:
+        rule["int eta"], atoms["int eta"] = (None, m * spec.eta), 1
+    atoms = {name: CurveFunction.const(C, c) for name, c in atoms.items() if c}
+    alg, image, left = spec.h, CurveFunction.const(C, 0), {}
+    for k, g in enumerate(D.coeffs):
+        if k:
+            alg, atoms = _derivation_step(derive, rule, alg, atoms)
+        if isinstance(g, CurveFunction) and g:
+            image = image + g * alg
+            for name, c in atoms.items():
+                left[name] = left[name] + g * c if name in left else g * c
+    for name, c in left.items():
+        if c:
+            raise DomainError(f"{D!r} leaves {name} in G with coefficient {c!r}")
+    return image
+
+
+def _derivation_step(derive, rule, alg, atoms):
+    """delta of (alg + sum_atoms c * atom), by the atom rule."""
+    out = {}
+    alg = derive(alg)
+    for name, c in atoms.items():
+        inner, mq = rule[name]
+        for target, term in ((name, derive(c)), (inner, c * mq)):
+            if target is None:
+                alg = alg + term
+            elif term:
+                out[target] = out[target] + term if target in out else term
+    return alg, out
+
+
 def certify_algebraic(F, candidate, chart):
     """True iff the candidate's expansion matches F to the full shared precision."""
     cand = chart.expand(candidate)
@@ -187,7 +251,7 @@ def certify_algebraic(F, candidate, chart):
 def _rational(c, what):
     try:
         return Fraction(c)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise DomainError(f"{what}: {c!r} is not a rational number") from exc
 
 

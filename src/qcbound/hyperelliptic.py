@@ -4,7 +4,7 @@ Models are monic: y^2 = f(x) with f of degree 2g+2 (even model, two points at
 infinity) or 2g+1 (odd model, one point at infinity).  Non-monic input is
 rejected with a normalization hint rather than silently transformed, since the
 divisor bookkeeping at infinity depends on the monic form.  Point counting is
-naive enumeration over F_p with quadratic-residue tests, which is exactly
+naive enumeration over F_p with one table of square roots, which is exactly
 right for the desk-scale primes used here.
 """
 
@@ -14,7 +14,6 @@ from math import isqrt
 from .errors import DomainError, NormalizationError
 from .padics import as_prime, reduce_mod, valuation
 from .polys import Poly, discriminant
-from .quadext import sqrt_mod_p
 
 
 class CurveModel:
@@ -90,13 +89,6 @@ def poly_mod(f, p):
     return [reduce_mod(c, p) for c in f.coeffs]
 
 
-def is_square_mod(a, p):
-    a %= p
-    if a == 0:
-        return True
-    return pow(a, (p - 1) // 2, p) == 1
-
-
 def has_smooth_reduction(curve, p):
     """True iff f is integral at p and p does not divide disc(f)."""
     p = as_prime(p)
@@ -120,11 +112,6 @@ def good_reduction_at(curve, p):
     return has_smooth_reduction(curve, p)
 
 
-def _require_good(curve, p):
-    if not has_smooth_reduction(curve, p):
-        raise DomainError(f"{int(p)} divides disc(f): curve has bad reduction at {int(p)}")
-
-
 def _eval_mod(f_mod, x, p):
     acc = 0
     for c in reversed(f_mod):
@@ -137,55 +124,43 @@ def value_mod(P, x, p):
     return _eval_mod(poly_mod(P, p), x, p)
 
 
-def count_points_fp(curve, p):
-    """(total, affine_nonweierstrass, affine_weierstrass, infinite) over F_p."""
+def _f_values(curve, p):
+    """(p, [f(x) mod p for x in F_p], {a: the least s with s^2 = a mod p}),
+    after the checks every F_p enumeration makes: good reduction at p, and
+    p <= 10^5."""
     p = as_prime(p)
-    _require_good(curve, p)
+    if not has_smooth_reduction(curve, p):
+        raise DomainError(f"{int(p)} divides disc(f): curve has bad reduction at {int(p)}")
     if p > 10**5:
         raise DomainError("naive enumeration is limited to p <= 10^5")
     f_mod = poly_mod(curve.f, p)
-    affine_nw = 0
-    wpts = 0
-    for x in range(p):
-        fx = _eval_mod(f_mod, x, p)
-        if fx == 0:
-            wpts += 1
-        elif is_square_mod(fx, p):
-            affine_nw += 2
+    roots = {s * s % p: s for s in range((p + 1) // 2)}
+    return p, [_eval_mod(f_mod, x, p) for x in range(p)], roots
+
+
+def count_points_fp(curve, p):
+    """(total, affine_nonweierstrass, affine_weierstrass, infinite) over F_p."""
+    p, values, roots = _f_values(curve, p)
+    wpts = values.count(0)
+    affine_nw = 2 * sum(1 for fx in values if fx and fx in roots)
     infinite = 2 if curve.kind == "even" else 1
     return affine_nw + wpts + infinite, affine_nw, wpts, infinite
 
 
 def residue_disks(curve, p):
     """One DiskDescriptor per F_p point, sorted by (kind, x_bar, y_bar)."""
-    p = as_prime(p)
-    _require_good(curve, p)
-    f_mod = poly_mod(curve.f, p)
+    p, values, roots = _f_values(curve, p)
     disks = []
-    for x in range(p):
-        fx = _eval_mod(f_mod, x, p)
+    for x, fx in enumerate(values):
         if fx == 0:
             disks.append(DiskDescriptor("affine_weierstrass", x, 0))
-        elif is_square_mod(fx, p):
-            y = sqrt_mod_p(fx, p)
+        elif fx in roots:
+            y = roots[fx]
             disks.append(DiskDescriptor("affine_nonweierstrass", x, y))
             disks.append(DiskDescriptor("affine_nonweierstrass", x, p - y))
     for label in curve.infinite_points():
         disks.append(DiskDescriptor("infinite", label=label))
     return sorted(disks)
-
-
-def weierstrass_scheme_count(curve, p):
-    """Number of F_p points of the Weierstrass scheme: roots of f mod p.
-
-    For odd models the point at infinity is Weierstrass but excluded, matching
-    the integral-points convention; for even models all Weierstrass points are
-    affine anyway.
-    """
-    p = as_prime(p)
-    _require_good(curve, p)
-    f_mod = poly_mod(curve.f, p)
-    return sum(1 for x in range(p) if _eval_mod(f_mod, x, p) == 0)
 
 
 def hasse_weil_ok(curve, p, total):

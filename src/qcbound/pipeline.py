@@ -3,12 +3,12 @@
 Operator selection mirrors the constructions the bounds are proved with:
 
 * odd models whose double-integral matrix touches only the omega_0 row (the
-  rank-1 integral-point shape) use D = (d/omega_0)^2 on every affine disk;
-  its image is the algebraic function sum_j a_0j x^j + ... directly.
+  rank-1 integral-point shape) use D = (d/omega_0)^2 on every affine disk.
 * general affine non-Weierstrass disks use D = (d/dx)^q (d/omega_0), with
-  q = 2g+1 on even models and 2g on odd ones; the algebraic image is the
-  binomial sum over derivatives of x^j/y, computed exactly as a
-  CurveFunction and certified against the expansion.
+  q = 2g+1 on even models and 2g on odd ones.
+* both candidates D(G) are ``coleman.algebraic_image`` of the planned
+  operator: D applied to G symbolically, an exact CurveFunction once every
+  integral has cancelled, and certified against the expansion.
 * Weierstrass disks (genus >= 2) use the divided-power annihilator in the
   disk coordinate composed with d/omega_0; the zero count falls back to the
   proof's output-ledger degree unless the truncation exceeds it.
@@ -54,10 +54,9 @@ are built from.  The plan and the shared series live for one
 """
 
 from dataclasses import dataclass
-from math import comb
 
 from .bounds import ledger_degrees, per_disk_bound, strict_integer_bound
-from .coleman import certify_algebraic, expand_G
+from .coleman import algebraic_image, certify_algebraic, expand_G
 from .diffops import (
     DifferentialOperator,
     apply_on_chart,  # not called here: perfbench/probes.py wraps this name in traced runs
@@ -77,7 +76,6 @@ from .funcfield import (
 )
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, kappa, valuation
-from .polys import Poly
 from .series import lowest_valuation
 
 
@@ -173,66 +171,27 @@ def polar_degree(F):
     )
 
 
+def _order2_operator(C):
+    """(d/omega_0)^2, the operator of the order-2 shape."""
+    return DifferentialOperator([CurveFunction.const(C, c) for c in (0, 0, 1)], base="omega0")
+
+
+def _nonweierstrass_operator(C):
+    """(d/dx)^q (d/omega_0), q = 2g+1 on even models and 2g on odd ones."""
+    q = C.basis_size
+    ddx_q = DifferentialOperator([CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx")
+    return compose_with_base(ddx_q, "omega0")
+
+
 def order2_candidate(spec):
-    """(d/omega_0)^2 G = sum_j a_0j x^j + sum_i a_i (d/omega_0)(x^i) + (d/omega_0)^2 h."""
-    C = spec.curve
-    out = CurveFunction.const(C, 0)
-    x_pow = CurveFunction.const(C, 1)
-    for j, a in enumerate(spec.a_matrix[0]):
-        if a:
-            out = out + x_pow * a
-        x_pow = x_pow * CurveFunction.x(C)
-    x_pow = CurveFunction.const(C, 1)
-    for i, a in enumerate(spec.a_vector):
-        if a and i:        # (d/omega_0)^2 int omega_i = (d/omega_0)(x^i); zero for i = 0
-            out = out + x_pow.d_by_omega0() * a
-        x_pow = x_pow * CurveFunction.x(C)
-    if spec.h:
-        out = out + spec.h.d_by_omega0().d_by_omega0()
-    return out
+    """(d/omega_0)^2 G, the algebraic image of the order-2 shape's operator."""
+    return algebraic_image(_order2_operator(spec.curve), spec)
 
 
 def nonweierstrass_candidate(spec):
-    """The algebraic image of G under (d/dx)^q (d/omega_0), q = 2g+1 or 2g.
-
-    Single integrals die ((d/dx)^q kills polynomials of degree < q); double
-    integrals leave the binomial sum over derivatives of x^j/y; h contributes
-    (d/dx)^q (y h'); an eta term contributes (d/dx)^q (y e).
-    """
-    C = spec.curve
-    q = C.basis_size
-    # chains[j][m] = (d/dx)^m (x^j / y)
-    n = len(spec.basis)
-    chains = []
-    for j in range(n):
-        chain = [CurveFunction.x_power_over_y(C, j)]
-        for _ in range(q - 1):
-            chain.append(chain[-1].d_dx())
-        chains.append(chain)
-    out = CurveFunction.const(C, 0)
-    for i in range(n):
-        for j in range(n):
-            a = spec.a_matrix[i][j]
-            if not a:
-                continue
-            term = CurveFunction.const(C, 0)
-            falling = 1
-            for k in range(min(i, q - 1) + 1):
-                piece = CurveFunction(C, Poly.x_power(i - k)) * chains[j][q - k - 1]
-                term = term + piece * (comb(q, k) * falling)
-                falling *= i - k
-            out = out + term * a
-    if spec.eta:
-        cur = spec.eta * CurveFunction.y(C)
-        for _ in range(q):
-            cur = cur.d_dx()
-        out = out + cur
-    if spec.h:
-        cur = spec.h.d_by_omega0()
-        for _ in range(q):
-            cur = cur.d_dx()
-        out = out + cur
-    return out
+    """(d/dx)^q (d/omega_0) G, the algebraic image of the general affine
+    non-Weierstrass operator."""
+    return algebraic_image(_nonweierstrass_operator(spec.curve), spec)
 
 
 def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
@@ -257,18 +216,11 @@ def _operator_for_affine(spec, kind):
     affine disk kind."""
     C = spec.curve
     if uses_order2_shape(spec):
-        D = DifferentialOperator(
-            [CurveFunction.const(C, 0), CurveFunction.const(C, 0), CurveFunction.const(C, 1)],
-            base="omega0",
-        )
-        return D, "(d/omega_0)^2", 2, order2_candidate(spec)
+        return _order2_operator(C), "(d/omega_0)^2", 2, order2_candidate(spec)
     q = C.basis_size
     if kind == "affine_nonweierstrass":
-        ddx_q = DifferentialOperator(
-            [CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx"
-        )
-        D = compose_with_base(ddx_q, "omega0")
-        return D, f"(d/dx)^{q} (d/omega_0)", q + 1, nonweierstrass_candidate(spec)
+        return (_nonweierstrass_operator(C), f"(d/dx)^{q} (d/omega_0)", q + 1,
+                nonweierstrass_candidate(spec))
     return None, "weierstrass divided-power annihilator (d/omega_0)", 2 * q, None
 
 

@@ -30,7 +30,7 @@ def elliptic_spec_data(f=("1", "1", "0", "1"), a="2", b="3", p=5, T=16):
 
 def write_spec(tmp_path, data):
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     return str(path)
 
 
@@ -312,10 +312,13 @@ class TestPipeline:
             {**elliptic_spec_data(), "T": True},
             {**elliptic_spec_data(), "constants": {"(0, 1)": {}}},
             {**elliptic_spec_data(), "constants": {"(9,9)": {}}},
+            json.dumps({**elliptic_spec_data(), "a_vector": ["A", "0"]}).replace('"A"', "1e400"),
+            {**elliptic_spec_data(), "a_vector": [float("inf"), "0"]},    # written as Infinity
         ],
         ids=[
             "a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short",
             "p_null", "p_list", "p_float", "T_bool", "constants_key_spaced", "constants_key_no_disk",
+            "a_vector_1e400", "a_vector_Infinity",
         ],
     )
     def test_malformed_spec_exit_2(self, tmp_path, capsys, data):

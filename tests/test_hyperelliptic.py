@@ -5,12 +5,14 @@ import pytest
 from qcbound.errors import DomainError, NormalizationError
 from qcbound.hyperelliptic import (
     CurveModel,
+    DiskDescriptor,
     count_points_fp,
     good_reduction_at,
     hasse_weil_ok,
     residue_disks,
-    weierstrass_scheme_count,
+    value_mod,
 )
+from qcbound.quadext import sqrt_mod_p
 
 
 def curve_x5_plus_1():
@@ -70,8 +72,8 @@ class TestCounting:
         assert (total, nw, w, inf) == (4, 2, 1, 1)
 
     def test_weierstrass_count(self):
-        assert weierstrass_scheme_count(curve_x5_plus_1(), 3) == 1
-        assert weierstrass_scheme_count(curve_x6_plus_1(), 7) == 0
+        assert count_points_fp(curve_x5_plus_1(), 3)[2] == 1
+        assert count_points_fp(curve_x6_plus_1(), 7)[2] == 0
 
     def test_split_weierstrass(self):
         # f = x(x-1)(x+1)(x-2)(x+2) has all roots in F_11
@@ -81,7 +83,7 @@ class TestCounting:
         for r in (0, 1, -1, 2, -2):
             f = f * Poly([-r, 1])
         c = CurveModel("odd", f)
-        assert weierstrass_scheme_count(c, 11) == 5
+        assert count_points_fp(c, 11)[2] == 5
 
     def test_totals_add_up_and_hasse_weil(self):
         rng = random.Random(17)
@@ -100,7 +102,7 @@ class TestCounting:
             total, nw, w, inf = count_points_fp(c, p)
             assert total == nw + w + inf
             assert hasse_weil_ok(c, p, total)
-            assert weierstrass_scheme_count(c, p) == w
+            assert sum(1 for x in range(p) if value_mod(c.f, x, p) == 0) == w
             checked += 1
 
     def test_x6_plus_1_at_5(self):
@@ -144,3 +146,31 @@ class TestResidueDisks:
         a = residue_disks(curve_x5_plus_1(), 3)
         b = residue_disks(curve_x5_plus_1(), 3)
         assert a == b
+
+    @pytest.mark.parametrize("kind, f", [
+        ("odd", [1, 1, 0, 1]),
+        ("odd", [1, 0, 0, 0, 0, 1]),
+        ("even", [1, 0, 0, 0, 0, 0, 1]),
+        ("even", [2, -1, 3, 0, 1]),
+    ])
+    def test_square_root_table_gives_the_search_listing(self, kind, f):
+        # the listing from one search per x for the least square root
+        c = CurveModel(kind, f)
+        for p in (3, 7, 11, 13, 101, 211):
+            if not good_reduction_at(c, p):
+                continue
+            expect = [DiskDescriptor("infinite", label=label) for label in c.infinite_points()]
+            for x in range(p):
+                fx = value_mod(c.f, x, p)
+                if fx == 0:
+                    expect.append(DiskDescriptor("affine_weierstrass", x, 0))
+                elif pow(fx, (p - 1) // 2, p) == 1:
+                    y = sqrt_mod_p(fx, p)
+                    expect += [DiskDescriptor("affine_nonweierstrass", x, y),
+                               DiskDescriptor("affine_nonweierstrass", x, p - y)]
+            assert residue_disks(c, p) == sorted(expect)
+
+    def test_enumeration_limit(self):
+        # the limit of count_points_fp; a search per x would not finish here
+        with pytest.raises(DomainError, match="limited to p <= 10"):
+            residue_disks(CurveModel("odd", [1, 1, 0, 1]), 1000003)

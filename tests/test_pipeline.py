@@ -325,16 +325,19 @@ class TestEtaTerm:
 class TestSpecPlan:
     def test_spec_level_work_runs_once_per_run(self, monkeypatch):
         calls = Counter()
-        for name in ("nonweierstrass_candidate", "polar_degree"):
+        for name in ("nonweierstrass_candidate", "order2_candidate", "polar_degree"):
             def counted(*args, _fn=getattr(pipeline, name), _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
             monkeypatch.setattr(pipeline, name, counted)
-        spec = even_quartic_eta_spec()
-        for runs in (1, 2):
-            assert run_pipeline(spec).ok
-            assert calls == {"nonweierstrass_candidate": runs, "polar_degree": runs}
+        # the odd spec has the order-2 shape: one plan for all its affine disks
+        for spec, candidate in ((even_quartic_eta_spec(), "nonweierstrass_candidate"),
+                                (elliptic_spec([1, 1, 0, 1]), "order2_candidate")):
+            calls.clear()
+            for runs in (1, 2):
+                assert run_pipeline(spec).ok
+                assert calls == {candidate: runs, "polar_degree": runs}
 
     @pytest.mark.parametrize(
         "make_spec, shared_pairs",
@@ -378,13 +381,17 @@ class TestSpecPlan:
         nw = [a.disk for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
         assert len(roots) == len({d.x_bar for d in nw}) == len(nw) // 2
 
-    @pytest.mark.parametrize("name", ["nonweierstrass_candidate", "polar_degree"])
-    def test_planning_error_reported_on_each_disk(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, make_spec", [
+        ("nonweierstrass_candidate", even_quartic_eta_spec),
+        ("polar_degree", even_quartic_eta_spec),
+        ("order2_candidate", lambda: elliptic_spec([1, 1, 0, 1])),
+    ], ids=["nonweierstrass_candidate", "polar_degree", "order2_candidate"])
+    def test_planning_error_reported_on_each_disk(self, monkeypatch, name, make_spec):
         def failing(*args):
             raise PrecisionError("planned entry needs more terms", needed=99)
 
         monkeypatch.setattr(pipeline, name, failing)
-        spec = even_quartic_eta_spec()
+        spec = make_spec()
         result = run_pipeline(spec)
         nw = [a for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
         assert nw and all(a.error == "insufficient precision: planned entry needs more terms"

@@ -12,8 +12,10 @@ and writes its own perfbench/out/.
 
 For every end-to-end metric of BENCHMARK.json this prints the median of
 each side, the parent's quartiles, the median over pairs of the ratio
-change / parent, and in how many pairs the change was better.  Exits 1 when any run fails its
-correctness gate, 0 otherwise.
+change / parent, and in how many pairs the change was better, and each
+side's failed and attempted operations summed over its runs.  Exits 1 when
+any run fails its correctness gate or when the change's failed share is above
+the parent's, 0 otherwise.
 """
 
 import argparse
@@ -48,12 +50,15 @@ def main(argv=None):
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
+    operations = {side: {"failed": 0, "attempted": 0} for side in sides}
     correct = True
     for i in range(args.pairs):
         order = ["parent", "change"] if i % 2 == 0 else ["change", "parent"]
         for side in order:
             out = run_once(sides[side], args, seconds)
             correct &= out["correct"]
+            for key in operations[side]:
+                operations[side][key] += out[key]
             for m in metrics:
                 values[side][m["name"]].append(out["metrics"][m["name"]]["value"])
         print(f"pair {i + 1}: " + "  ".join(
@@ -72,9 +77,15 @@ def main(argv=None):
         quartiles = f"{q1:.4g}-{q3:.4g}"
         print(f"{name:<14} {statistics.median(parent):>10.4g} {quartiles:>21} {statistics.median(change):>10.4g} "
               f"{ratio:>8}  {better}/{args.pairs}")
+    for side, ops in operations.items():
+        print(f"{side}: {ops['failed']}/{ops['attempted']} operations failed")
+    share = {side: ops["failed"] / max(ops["attempted"], 1) for side, ops in operations.items()}
+    more_failures = share["change"] > share["parent"]
     if not correct:
         print("a run failed its correctness gate", file=sys.stderr)
-    return 0 if correct else 1
+    if more_failures:
+        print("the change fails a larger share of operations than the parent", file=sys.stderr)
+    return 0 if correct and not more_failures else 1
 
 
 if __name__ == "__main__":
