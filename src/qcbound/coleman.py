@@ -268,9 +268,12 @@ def _rational_matrix(rows, n, what):
     return [_rational_list(row, n, f"{what} row") for row in rows]
 
 
-def _json_object(value, what):
+def _json_object(value, what, *required):
     if not isinstance(value, dict):
         raise DomainError(f"{what} must be a JSON object")
+    for key in required:
+        if key not in value:
+            raise DomainError(f"{what} lacks the required key {key!r}")
     return value
 
 
@@ -290,9 +293,12 @@ def _curve_function_from_pair(curve, data, what):
 
 def parse_spec_data(data):
     """Build a ColemanSpec from a parsed JSON object; DomainError on malformed input."""
-    data = _json_object(data, "spec")
-    cdata = _json_object(data["curve"], "curve")
-    curve = CurveModel(cdata["kind"], _poly_from_strings(cdata["f"], "curve f"), genus=cdata.get("genus"))
+    data = _json_object(data, "spec", "curve", "p", "a_matrix")
+    cdata = _json_object(data["curve"], "curve", "kind", "f")
+    genus = cdata.get("genus")
+    if genus is not None and type(genus) is not int:    # bool and float too
+        raise DomainError(f"curve genus must be an integer, got {genus!r}")
+    curve = CurveModel(cdata["kind"], _poly_from_strings(cdata["f"], "curve f"), genus=genus)
     h = _curve_function_from_pair(curve, data["h"], "h") if "h" in data else None
     eta = _curve_function_from_pair(curve, data["eta"], "eta") if "eta" in data else None
     n = curve.basis_size

@@ -581,11 +581,12 @@ class DiskChart(_Powers):
     """A residue disk with its designated local parameter and expansion data.
 
     Holds Laurent expansions of x and y in the parameter t to relative
-    precision T, and the valuation map for the coefficient field (an
-    embedding valuation for quadratic lifts).  The chart is the ``_Powers``
-    table of its x(t); ``eval_rational`` also keeps 1/den(t) per denominator
-    (the same few powers of f recur on one disk).  Both caches live as long
-    as the chart.
+    precision T, and the valuation and reduction maps of the coefficient
+    field: those of Q at a rational centre; at a quadratic one, those of its
+    ``PAdicSqrtEmbedding``, read from the residue y_bar of sqrt(d).  The
+    chart is the ``_Powers`` table of its x(t); ``eval_rational`` also keeps
+    1/den(t) per denominator (the same few powers of f recur on one disk).
+    Both caches live as long as the chart.
     """
 
     def __init__(self, model, disk, T, x_laurent, y_laurent, p=None, embedding=None, center=None, description=""):
@@ -610,13 +611,12 @@ class DiskChart(_Powers):
 
     def reduce_of(self, c):
         """Reduction of a p-integral coefficient mod p (through the embedding)."""
+        if self.embedding is not None:
+            return self.embedding.reduce(c)
         if self.p is None:
             raise DomainError("chart carries no prime; reductions unavailable")
         if isinstance(c, QuadExt):
-            if self.embedding is None:
-                raise DomainError("quadratic coefficient on a rational chart")
-            root = self.embedding.root_mod(1)
-            return (reduce_mod(c.u, self.p) + reduce_mod(c.v, self.p) * root) % self.p
+            raise DomainError("quadratic coefficient on a rational chart")
         return reduce_mod(c, self.p)
 
     def eval_rational(self, r):
@@ -721,8 +721,6 @@ def nonweierstrass_chart(model, disk, p, T, units=None):
     if chosen is None:
         x0 = Fraction(base)
         d = model.f(x0)
-        if valuation(d, p) != 0:
-            raise DomainError(f"f({x0}) is not a p-unit; disk center data inconsistent")
         embedding = PAdicSqrtEmbedding(d, p, root_mod_p=disk.y_bar)
         y0 = QuadExt(0, 1, d)
         chosen = (x0, y0, embedding)

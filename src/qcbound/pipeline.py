@@ -74,8 +74,9 @@ from .funcfield import (
     infinity_pole_order,
     weierstrass_order,
 )
-from .hyperelliptic import residue_disks
+from .hyperelliptic import residue_disks, value_mod
 from .padics import INFINITY, kappa, valuation
+from .polys import Poly, primitive_int
 from .series import lowest_valuation
 
 
@@ -274,19 +275,23 @@ class _OperatorPlan:
 class SpecPlan:
     """Spec-level data built once and shared by the disks of one run.
 
-    Holds the input floor and one ``_OperatorPlan`` per affine disk kind among
-    ``disks`` (a single one for every affine disk on the order-2 shape), plus
-    the memo of exact series that a conjugate quadratic pair shares and the
-    memo of chart unit series that the two disks above one x_bar share
-    (``units``, see ``funcfield.nonweierstrass_chart``).  Planning first runs
-    ``ColemanSpec.check_constants``, so a constants key added after the spec
-    was built fails the run with DomainError before any disk is analysed.
+    Holds the input floor, ``eta_den`` and one ``_OperatorPlan`` per affine
+    disk kind among ``disks`` (a single one for every affine disk on the
+    order-2 shape), plus the memo of exact series that a conjugate quadratic
+    pair shares and the memo of chart unit series that the two disks above
+    one x_bar share (``units``, see ``funcfield.nonweierstrass_chart``).
+    Planning first runs ``ColemanSpec.check_constants``, so a constants key
+    added after the spec was built fails the run with DomainError before any
+    disk is analysed.
     """
 
     def __init__(self, spec, disks):
         spec.check_constants()
         self.spec = spec
         self.floor = spec_input_floor(spec)
+        # eta's E as a primitive integer polynomial: it vanishes at x_bar mod p
+        # exactly when E has a root in the x-disk of x_bar, a pole of eta there
+        self.eta_den = Poly(primitive_int(spec.eta.E)[1]) if spec.eta else Poly([1])
         kinds = sorted({d.kind for d in disks} - {"infinite"})
         if uses_order2_shape(spec) and kinds:
             self.operators = dict.fromkeys(kinds, _OperatorPlan(spec, kinds[0]))
@@ -336,6 +341,9 @@ def analyze_disk(spec, disk):
     try:
         if disk.kind == "infinite":
             return _analyze_infinite(spec, disk, ana)
+        if not value_mod(plan.eta_den, disk.x_bar, p):
+            raise DomainError(
+                f"eta has a pole on this disk: {plan.eta_den!r} vanishes at x = {disk.x_bar} mod {p}")
         chart = chart_for(C, disk, p, spec.T, plan.units)
         ana.parameter = chart.description
         ana.lift = str(chart.center)

@@ -261,7 +261,7 @@ def _pack(ints, width):
 # -- integer helpers for the subresultant gcd --------------------------------
 
 
-def _to_primitive_int(p):
+def primitive_int(p):
     """Return (content, integer coefficient list) with the list primitive."""
     if not p:
         return Fraction(0), []
@@ -299,8 +299,8 @@ def poly_gcd(a, b):
         return a.monic()
     if a.degree == 0 or b.degree == 0:
         return Poly([1])
-    _, fa = _to_primitive_int(a)
-    _, fb = _to_primitive_int(b)
+    _, fa = primitive_int(a)
+    _, fb = primitive_int(b)
     if len(fa) < len(fb):
         fa, fb = fb, fa
     while fb:
@@ -380,7 +380,7 @@ def rational_roots(f):
     """All rational roots of f, via the rational root theorem on the primitive part."""
     if not f:
         raise DomainError("zero polynomial")
-    _, ints = _to_primitive_int(f)
+    _, ints = primitive_int(f)
     low = 0
     while not ints[low]:
         low += 1

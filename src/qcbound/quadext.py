@@ -5,16 +5,22 @@ quadratic extension (d a fixed non-square rational).  Each value has one
 form: a rational value is a ``Fraction``, and any other is a ``QuadExt``
 u + v*sqrt(d) of exact rationals with v != 0.  To take Newton polygons of
 series with such coefficients we need the p-adic valuation along a chosen
-embedding Q(sqrt(d)) -> Q_p, i.e. a choice of square root of d in Z_p; the
-embedding fixes that choice by its residue mod p and computes valuations
-exactly by Hensel-lifting the root to enough p-adic digits.
+embedding Q(sqrt(d)) -> Q_p.  For an odd prime p and a p-unit d, the residue
+r of sqrt(d) mod p fixes the embedding, and the reduction u + v*r mod p of a
+p-integral xi = u + v*sqrt(d) fixes every valuation.  With m = min(v_p(u),
+v_p(v)):
+
+* if v_p(u) != v_p(v), then v(xi) = m, because sqrt(d) is a unit;
+* if v_p(u) = v_p(v) = m and xi/p^m reduces to a nonzero residue, v(xi) = m;
+* otherwise v(xi) = v_p(u^2 - d*v^2) - m: the conjugate of xi/p^m reduces to
+  2u/p^m, a unit as p is odd, and xi times its conjugate is the norm.
 """
 
 from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError
-from .padics import reduce_mod, valuation
+from .padics import as_prime, reduce_mod, valuation
 
 
 def rational_sqrt(x):
@@ -130,64 +136,38 @@ class QuadExt:
         return f"({self.u} + {self.v}*sqrt({self.d}))"
 
 
-def sqrt_mod_p(a, p):
-    """A square root of a mod p for odd prime p, by direct search (p is small)."""
-    a %= p
-    for s in range(p):
-        if s * s % p == a:
-            return s
-    raise DomainError(f"{a} is not a square mod {p}")
-
-
 class PAdicSqrtEmbedding:
-    """An embedding Q(sqrt(d)) -> Q_p determined by sqrt(d) === root mod p.
-
-    Requires v_p(d) = 0 and d a square mod p.  Valuations of u + v*sqrt(d)
-    are computed exactly: the root is Hensel-lifted mod p^k until a nonzero
-    p-adic digit appears, which must happen at or before v_p(norm).
+    """The embedding Q(sqrt(d)) -> Q_p in which sqrt(d) has residue r mod p,
+    for an odd prime p, v_p(d) = 0 and r^2 === d mod p.  It holds only d, p
+    and r: ``reduce`` and ``valuation`` read the rule of the module docstring.
     """
 
-    def __init__(self, d, p, root_mod_p=None):
-        self.d = Fraction(d)
-        self.p = int(p)
-        if valuation(self.d, p) != 0:
-            raise DomainError("embedding requires d to be a p-unit")
-        d_bar = reduce_mod(self.d, self.p)
-        r = sqrt_mod_p(d_bar, self.p) if root_mod_p is None else root_mod_p % self.p
-        if r * r % self.p != d_bar:
-            raise DomainError("root_mod_p is not a square root of d mod p")
-        self._precision = 1
-        self._root = r
+    __slots__ = ("d", "p", "r")
 
-    def root_mod(self, k):
-        """sqrt(d) mod p^k along this embedding (Hensel lifting, cached)."""
-        while self._precision < k:
-            new_prec = 2 * self._precision
-            modulus = self.p ** new_prec
-            s = self._root
-            d_res = reduce_mod(self.d, modulus)
-            inv = pow(2 * s, -1, modulus)
-            s = (s - (s * s - d_res) * inv) % modulus
-            self._root = s
-            self._precision = new_prec
-        return self._root % self.p ** k
+    def __init__(self, d, p, root_mod_p):
+        self.d = Fraction(d)
+        self.p = as_prime(p)
+        if valuation(self.d, self.p) != 0:
+            raise DomainError("embedding requires d to be a p-unit")
+        self.r = root_mod_p % self.p
+        if (self.r * self.r - reduce_mod(self.d, self.p)) % self.p:
+            raise DomainError("root_mod_p is not a square root of d mod p")
+
+    def reduce(self, xi):
+        """xi mod p for a p-integral xi: u + v*r for xi = u + v*sqrt(d)."""
+        if not isinstance(xi, QuadExt):
+            return reduce_mod(xi, self.p)
+        return (reduce_mod(xi.u, self.p) + reduce_mod(xi.v, self.p) * self.r) % self.p
 
     def valuation(self, xi):
         """Exact p-adic valuation of xi in Q_p along this embedding."""
-        if isinstance(xi, (int, Fraction)):
+        if not isinstance(xi, QuadExt):
             return valuation(xi, self.p)
         if xi.d != self.d:
             raise DomainError("element lies in a different extension")
-        p = self.p
-        m = min(valuation(xi.u, p), valuation(xi.v, p))
-        scale = Fraction(p) ** -m
-        u, v = xi.u * scale, xi.v * scale
-        cap = valuation(u * u - self.d * v * v, p)
-        for k in range(cap + 1):
-            modulus = p ** (k + 1)
-            r = (reduce_mod(u, modulus) + reduce_mod(v, modulus) * self.root_mod(k + 1)) % modulus
-            if r:
-                # zero residue mod p^k (previous iterations) and nonzero mod
-                # p^(k+1) pin the first nonzero digit at position k
-                return m + k
-        raise DomainError("valuation search exceeded the norm bound (is d a square?)")
+        m, mv = valuation(xi.u, self.p), valuation(xi.v, self.p)
+        if m != mv:
+            return min(m, mv)
+        if self.reduce(xi * Fraction(self.p) ** -m):
+            return m
+        return valuation(xi.norm(), self.p) - m

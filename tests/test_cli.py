@@ -28,6 +28,22 @@ def elliptic_spec_data(f=("1", "1", "0", "1"), a="2", b="3", p=5, T=16):
     }
 
 
+def spec_with_curve(**changes):
+    data = elliptic_spec_data()
+    return {**data, "curve": {**data["curve"], **changes}}
+
+
+def spec_without(*path):
+    """The elliptic spec with the key at ``path`` (keys from the top) deleted."""
+    data = elliptic_spec_data()
+    inner = data
+    for key in path[:-1]:
+        inner[key] = dict(inner[key])
+        inner = inner[key]
+    del inner[path[-1]]
+    return data
+
+
 def write_spec(tmp_path, data):
     path = tmp_path / "spec.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -299,31 +315,41 @@ class TestPipeline:
         assert main(["pipeline", "--spec", str(tmp_path / "nope.json")]) == 2
 
     @pytest.mark.parametrize(
-        "data",
+        "data, field",
         [
-            {**elliptic_spec_data(), "a_matrix": 5},
-            {**elliptic_spec_data(), "h": {"a": 3}},
-            [elliptic_spec_data()],
-            {**elliptic_spec_data(), "T": "20"},
-            {**elliptic_spec_data(), "constants": {"(0,1)": {"singles": ["1"]}}},
-            {**elliptic_spec_data(), "p": None},
-            {**elliptic_spec_data(), "p": [5]},
-            {**elliptic_spec_data(), "p": 7.9},
-            {**elliptic_spec_data(), "T": True},
-            {**elliptic_spec_data(), "constants": {"(0, 1)": {}}},
-            {**elliptic_spec_data(), "constants": {"(9,9)": {}}},
-            json.dumps({**elliptic_spec_data(), "a_vector": ["A", "0"]}).replace('"A"', "1e400"),
-            {**elliptic_spec_data(), "a_vector": [float("inf"), "0"]},    # written as Infinity
+            ({**elliptic_spec_data(), "a_matrix": 5}, "a_matrix"),
+            ({**elliptic_spec_data(), "h": {"a": 3}}, "h a"),
+            ([elliptic_spec_data()], "spec"),
+            ({**elliptic_spec_data(), "T": "20"}, "T"),
+            ({**elliptic_spec_data(), "constants": {"(0,1)": {"singles": ["1"]}}}, "singles"),
+            ({**elliptic_spec_data(), "p": None}, "p"),
+            ({**elliptic_spec_data(), "p": [5]}, "p"),
+            ({**elliptic_spec_data(), "p": 7.9}, "p"),
+            ({**elliptic_spec_data(), "T": True}, "T"),
+            ({**elliptic_spec_data(), "constants": {"(0, 1)": {}}}, "constants key"),
+            ({**elliptic_spec_data(), "constants": {"(9,9)": {}}}, "constants key"),
+            (json.dumps({**elliptic_spec_data(), "a_vector": ["A", "0"]}).replace('"A"', "1e400"), "a_vector"),
+            ({**elliptic_spec_data(), "a_vector": [float("inf"), "0"]}, "a_vector"),    # written as Infinity
+            (spec_with_curve(genus="1"), "curve genus"),
+            (spec_with_curve(genus=True), "curve genus"),
+            (spec_with_curve(genus=1.0), "curve genus"),
+            (spec_without("curve"), "required key 'curve'"),
+            (spec_without("curve", "kind"), "required key 'kind'"),
+            (spec_without("curve", "f"), "required key 'f'"),
+            (spec_without("p"), "required key 'p'"),
+            (spec_without("a_matrix"), "required key 'a_matrix'"),
         ],
         ids=[
             "a_matrix_scalar", "h_part_scalar", "top_level_list", "T_string", "singles_too_short",
             "p_null", "p_list", "p_float", "T_bool", "constants_key_spaced", "constants_key_no_disk",
-            "a_vector_1e400", "a_vector_Infinity",
+            "a_vector_1e400", "a_vector_Infinity", "genus_string", "genus_bool", "genus_float",
+            "no_curve", "no_kind", "no_f", "no_p", "no_a_matrix",
         ],
     )
-    def test_malformed_spec_exit_2(self, tmp_path, capsys, data):
+    def test_malformed_spec_exit_2(self, tmp_path, capsys, data, field):
         assert main(["pipeline", "--spec", write_spec(tmp_path, data)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, err
 
     @pytest.mark.parametrize("key", ["(0, 1)", "(9,9)", "inf+"])
     @pytest.mark.parametrize("command", ["pipeline", "analyze-disk"])

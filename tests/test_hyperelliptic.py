@@ -12,7 +12,6 @@ from qcbound.hyperelliptic import (
     residue_disks,
     value_mod,
 )
-from qcbound.quadext import sqrt_mod_p
 
 
 def curve_x5_plus_1():
@@ -165,7 +164,7 @@ class TestResidueDisks:
                 if fx == 0:
                     expect.append(DiskDescriptor("affine_weierstrass", x, 0))
                 elif pow(fx, (p - 1) // 2, p) == 1:
-                    y = sqrt_mod_p(fx, p)
+                    y = next(s for s in range(p) if s * s % p == fx)
                     expect += [DiskDescriptor("affine_nonweierstrass", x, y),
                                DiskDescriptor("affine_nonweierstrass", x, p - y)]
             assert residue_disks(c, p) == sorted(expect)

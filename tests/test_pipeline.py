@@ -290,6 +290,32 @@ class TestEtaTerm:
             else:
                 assert ana.ok and ana.certified is True, ana.error
 
+    @pytest.mark.parametrize("T", [24, 40])
+    def test_eta_pole_off_the_disk_centre_rejected(self, T):
+        # eta = dx/(x - 7): the points over x = 7 lie in the disks above
+        # x_bar = 2, whose centres lift to x0 = 2.  D(G) has a pole inside
+        # those disks, so they error; a count there would grow with T
+        from qcbound.funcfield import RationalFunc
+
+        C = CurveModel("odd", [1, 1, 0, 1])
+        spec = ColemanSpec(
+            curve=C, p=5,
+            a_matrix=[[Fraction(0)] * 2 for _ in range(2)],
+            a_vector=[Fraction(1), Fraction(0)],
+            eta=CurveFunction(C, RationalFunc(Poly([1]), Poly([-7, 1]))),
+            T=T,
+        )
+        result = run_pipeline(spec)
+        assert result.total_bound is None
+        for ana in result.analyses:
+            if ana.disk.kind == "infinite":
+                continue
+            if ana.disk.x_bar == 2:
+                assert ana.error == "eta has a pole on this disk: Poly(-7 + x) vanishes at x = 2 mod 5"
+                assert ana.n_b is None and ana.certified is None
+            else:
+                assert ana.ok and ana.certified is True, ana.error
+
     def test_h_with_finite_poles_rejected(self):
         from qcbound.funcfield import RationalFunc
 

@@ -4,12 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcbound.errors import DomainError
-from qcbound.padics import INFINITY
-from qcbound.quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt, sqrt_mod_p
+from qcbound.padics import INFINITY, reduce_mod, valuation
+from qcbound.quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
 
 
 class TestRationalSqrt:
@@ -115,21 +115,73 @@ class TestNormalForm:
         assert QuadExt(3, 2, 5) / 2 == QuadExt(Fraction(3, 2), 1, 5)
 
 
-class TestEmbedding:
-    def test_sqrt_mod_p(self):
-        assert sqrt_mod_p(2, 7) in (3, 4)
-        with pytest.raises(DomainError):
-            sqrt_mod_p(3, 7)
+def lift_root(d, p, r, k):
+    """sqrt(d) mod p^k with residue r, lifted one p-adic digit at a time."""
+    s = r % p
+    for j in range(1, k):
+        mod = p ** (j + 1)
+        s = next(t for t in range(s, mod, p ** j) if (t * t - reduce_mod(d, mod)) % mod == 0)
+    return s
 
-    def test_root_lifting(self):
-        emb = PAdicSqrtEmbedding(2, 7, root_mod_p=3)
-        for k in (1, 2, 5, 9):
-            r = emb.root_mod(k)
-            assert (r * r - 2) % 7**k == 0
-            assert r % 7 == 3
+
+def digit_search_valuation(emb, xi):
+    """v(xi) as the first p-adic digit of (u + v*sqrt(d))/p^m that is nonzero,
+    with sqrt(d) lifted digit by digit; the search stops at v_p(norm)."""
+    p = emb.p
+    if not isinstance(xi, QuadExt):
+        return valuation(xi, p)
+    m = min(valuation(xi.u, p), valuation(xi.v, p))
+    u, v = xi.u / Fraction(p) ** m, xi.v / Fraction(p) ** m
+    for k in range(valuation(u * u - xi.d * v * v, p) + 1):
+        mod = p ** (k + 1)
+        if (reduce_mod(u, mod) + reduce_mod(v, mod) * lift_root(xi.d, p, emb.r, k + 1)) % mod:
+            return m + k
+    raise AssertionError("no nonzero digit up to v_p(norm)")
+
+
+@st.composite
+def embedded_elements(draw):
+    """(embedding, xi): d a p-unit square mod p that is not a rational square,
+    either root, and xi = u + v*sqrt(d) with u === -v*sqrt(d) mod p^k."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    R, q = draw(st.integers(1, p - 1)), draw(st.sampled_from([1, 2, 3, 4, 5]).filter(lambda q: q % p))
+    d = Fraction(R * R + p * draw(st.integers(-40, 40)), q * q)
+    assume(d.numerator % p and rational_sqrt(d) is None)
+    r = (draw(st.sampled_from([1, -1])) * R * pow(q, -1, p)) % p
+    emb = PAdicSqrtEmbedding(d, p, r)
+    k, m = draw(st.integers(0, 6)), draw(st.integers(-2, 2))
+    v = Fraction(draw(st.integers(-50, 50).filter(bool)), draw(st.integers(1, 9)))
+    w = Fraction(draw(st.integers(-50, 50)), draw(st.integers(1, 9)))
+    u = -v * lift_root(d, p, r, k) + w * p ** k if k else w
+    return emb, QuadExt(u * Fraction(p) ** m, v * Fraction(p) ** m, d)
+
+
+class TestEmbedding:
+    @settings(max_examples=300, deadline=None)
+    @given(embedded_elements())
+    def test_residue_rule_matches_the_digit_search(self, case):
+        emb, xi = case
+        assert emb.valuation(xi) == digit_search_valuation(emb, xi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(embedded_elements())
+    def test_the_two_roots_sum_to_the_norm(self, case):
+        emb, xi = case
+        other = PAdicSqrtEmbedding(emb.d, emb.p, -emb.r)
+        assert emb.valuation(xi) + other.valuation(xi) == valuation(xi.norm(), emb.p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(embedded_elements(), rationals)
+    def test_reduce(self, case, c):
+        emb, xi = case
+        if valuation(c, emb.p) >= 0:
+            assert emb.reduce(c) == reduce_mod(c, emb.p)
+        if min(valuation(xi.u, emb.p), valuation(xi.v, emb.p)) >= 0:
+            assert emb.reduce(xi) == (reduce_mod(xi.u, emb.p) + reduce_mod(xi.v, emb.p) * emb.r) % emb.p
+            assert (emb.reduce(xi) == 0) == (emb.valuation(xi) > 0)
 
     def test_valuation_rational_parts(self):
-        emb = PAdicSqrtEmbedding(2, 7)
+        emb = PAdicSqrtEmbedding(2, 7, 3)
         assert emb.valuation(QuadExt(49, 0, 2)) == 2
         assert emb.valuation(QuadExt(0, Fraction(1, 7), 2)) == -1
         assert emb.valuation(QuadExt(0, 0, 2)) == INFINITY
@@ -153,15 +205,19 @@ class TestEmbedding:
             assert emb.valuation(a * b) == emb.valuation(a) + emb.valuation(b)
 
     def test_deep_cancellation(self):
-        # u + v*sqrt(d) engineered so u/v is a good rational approximation of
-        # -sqrt(d): valuation climbs well past 1
+        # sqrt(2) - s3 with s3 = sqrt(2) mod 7^3 on the root === 3 branch: its
+        # valuation is the position of the first nonzero 7-adic digit of
+        # sqrt(2) past the third, read from a lift mod 7^12
         emb = PAdicSqrtEmbedding(2, 7, root_mod_p=3)
-        s3 = emb.root_mod(3)   # s mod 343
-        xi = QuadExt(-s3, 1, 2)
-        assert emb.valuation(xi) >= 3
+        s3, s12 = lift_root(2, 7, 3, 3), lift_root(2, 7, 3, 12)
+        expected = valuation(s12 - s3, 7)
+        assert 3 <= expected < 12
+        assert emb.valuation(QuadExt(-s3, 1, 2)) == expected
 
     def test_requires_unit_square(self):
         with pytest.raises(DomainError):
-            PAdicSqrtEmbedding(7, 7)
+            PAdicSqrtEmbedding(7, 7, 0)
         with pytest.raises(DomainError):
-            PAdicSqrtEmbedding(3, 7)
+            PAdicSqrtEmbedding(3, 7, 2)
+        with pytest.raises(DomainError):
+            PAdicSqrtEmbedding(2, 7, 2)

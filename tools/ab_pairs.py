@@ -8,21 +8,28 @@ PARENT_DIR is a second checkout of the parent commit (for example
 of BENCHMARK.json, one after the other,
 and swaps which side goes first from one pair to the next, so that a drift
 of the machine lands on both sides alike.  Each side runs its own sources
-and writes its own perfbench/out/.
+and writes its own perfbench/out/.  Every run starts with no bytecode cache:
+PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh empty
+directory, so that both sides compile their sources as a fresh checkout
+does, and ``setup_s``, which imports the library, measures that compile.
 
 For every end-to-end metric of BENCHMARK.json this prints the median of
 each side, the parent's quartiles, the median over pairs of the ratio
 change / parent, and in how many pairs the change was better, and each
-side's failed and attempted operations summed over its runs.  Exits 1 when
-any run fails its correctness gate or when the change's failed share is above
-the parent's, 0 otherwise.
+side's failed and attempted operations summed over its runs, and whether the
+change's median is worse than the parent's by more than the metric's
+relative bound.  Exits 1 when any run fails its correctness gate, when the
+change's failed share is above the parent's or when a metric is worse than
+its bound, 0 otherwise.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,7 +39,9 @@ def run_once(checkout, args, seconds):
     """The last stdout line of one benchmark run in ``checkout``, parsed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
@@ -65,7 +74,8 @@ def main(argv=None):
             f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> {values['change'][m['name']][-1]:.4g}"
             for m in metrics), flush=True)
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {seconds}")
-    print(f"{'metric':<14} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'ratio':>8}  better")
+    print(f"{'metric':<14} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'ratio':>8}  better  bound")
+    beyond_bound = []
     for m in metrics:
         name = m["name"]
         parent, change = values["parent"][name], values["change"][name]
@@ -75,8 +85,12 @@ def main(argv=None):
         ratio = f"{statistics.median(ratios):.3f}" if ratios else "-"
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
         quartiles = f"{q1:.4g}-{q3:.4g}"
-        print(f"{name:<14} {statistics.median(parent):>10.4g} {quartiles:>21} {statistics.median(change):>10.4g} "
-              f"{ratio:>8}  {better}/{args.pairs}")
+        mp, mc = statistics.median(parent), statistics.median(change)
+        worse = (mc - mp if lower else mp - mc) > m["bound"] * abs(mp)
+        if worse:
+            beyond_bound.append(name)
+        print(f"{name:<14} {mp:>10.4g} {quartiles:>21} {mc:>10.4g} "
+              f"{ratio:>8}  {better}/{args.pairs}  {'WORSE than' if worse else 'within'} {m['bound']:.0%}")
     for side, ops in operations.items():
         print(f"{side}: {ops['failed']}/{ops['attempted']} operations failed")
     share = {side: ops["failed"] / max(ops["attempted"], 1) for side, ops in operations.items()}
@@ -85,7 +99,9 @@ def main(argv=None):
         print("a run failed its correctness gate", file=sys.stderr)
     if more_failures:
         print("the change fails a larger share of operations than the parent", file=sys.stderr)
-    return 0 if correct and not more_failures else 1
+    if beyond_bound:
+        print("worse than the bound: " + ", ".join(beyond_bound), file=sys.stderr)
+    return 0 if correct and not more_failures and not beyond_bound else 1
 
 
 if __name__ == "__main__":
