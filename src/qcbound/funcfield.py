@@ -44,9 +44,9 @@ from math import lcm
 from operator import add
 
 from .errors import DomainError, NonUnitError, PoleError
-from .hyperelliptic import DiskDescriptor, value_mod
+from .hyperelliptic import DiskDescriptor, poly_mod, value_mod
 from .padics import as_prime, reduce_mod, valuation
-from .polys import Poly, common_denominator, convolve, poly_gcd, rational_roots
+from .polys import Poly, common_denominator, convolve, poly_gcd, primitive_int, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
 from .series import LaurentSeries, TruncatedSeries
 
@@ -105,6 +105,16 @@ class RationalFunc:
 def _scaled(P, c):
     """c * P for a rational c."""
     return Poly([c * x for x in P.coeffs])
+
+
+def _taylor_mod(P, x_bar, p, n):
+    """The first n coefficients of P(x_bar + t) mod p, P p-integral."""
+    out = []
+    for c in reversed(poly_mod(P, p)):
+        # out <- out * (t + x_bar) + c
+        out = [(x_bar * u + v) % p for u, v in zip(out + [0], [0] + out)]
+        out[0] = (out[0] + c) % p
+    return (out + [0] * n)[:n]
 
 
 def _times(P, Q):
@@ -378,6 +388,42 @@ class CurveFunction:
             num = value_mod(part.num, x_bar, p)
             out = (out + num * pow(den, -1, p) * ybar_factor) % p
         return out
+
+    def order_mod_p(self, x_bar, y_bar, p, limit):
+        """ord_t of the reduction of F at an affine F_p point (x_bar, y_bar),
+        y_bar != 0, t = x - x_bar: the number of zeros of F on that residue
+        disk (Weierstrass preparation).
+
+        f^k E = c f^k E0 with E0 primitive in Z[x] (f is monic and integral)
+        and f(x_bar) != 0 mod p, so F has a pole on the disk when E0(x_bar) =
+        0 mod p (DomainError).  Otherwise, with lo the least valuation of the
+        coefficients of A and B, p^-lo c F reduces to (a + b s)/(f^k E0), a
+        unit multiple of a + b s: a, b the reductions of p^-lo A, p^-lo B and
+        s = sqrt(f(x_bar + t)) in F_p[[t]], s_0 = y_bar.  It is nonzero, as 1
+        and y are independent over F_p(x), and its order is at most its
+        degree, so at most ``limit``, F's polar degree; a reduction still
+        zero past ``limit`` is a bug (RuntimeError).
+        """
+        p = as_prime(p)
+        if not y_bar % p:
+            raise DomainError(f"not a non-Weierstrass point: y = {y_bar} mod {p}")
+        if self.E.degree > 0:
+            E0 = Poly(primitive_int(self.E)[1])
+            if not value_mod(E0, x_bar, p):
+                raise DomainError(f"pole on this disk: {E0!r} vanishes at x = {x_bar} mod {p}")
+        if not self:
+            raise DomainError("zero function")
+        scale = Fraction(p) ** -min(valuation(c, p) for P in (self.A, self.B) for c in P.coeffs if c)
+        n = limit + 1
+        a, b = (_taylor_mod(_scaled(P, scale), x_bar, p, n) for P in (self.A, self.B))
+        phi = _taylor_mod(self.model.f, x_bar, p, n)
+        half, s = pow(2 * y_bar, -1, p), [y_bar % p]
+        for i in range(n):
+            if i:
+                s.append((phi[i] - sum(s[k] * s[i - k] for k in range(1, i))) * half % p)
+            if (a[i] + sum(b[j] * s[i - j] for j in range(i + 1))) % p:
+                return i
+        raise RuntimeError(f"reduction of {self!r} vanishes past its degree bound {limit} at x = {x_bar}")
 
     def __repr__(self):
         a, b = self.view()

@@ -7,8 +7,8 @@ Operator selection mirrors the constructions the bounds are proved with:
 * general affine non-Weierstrass disks use D = (d/dx)^q (d/omega_0), with
   q = 2g+1 on even models and 2g on odd ones.
 * both candidates D(G) are ``coleman.algebraic_image`` of the planned
-  operator: D applied to G symbolically, an exact CurveFunction once every
-  integral has cancelled, and certified against the expansion.
+  operator: D applied to G symbolically, an exact CurveFunction; it raises
+  unless every integral has cancelled.
 * Weierstrass disks (genus >= 2) use the divided-power annihilator in the
   disk coordinate composed with d/omega_0; the zero count falls back to the
   proof's output-ledger degree unless the truncation exceeds it.
@@ -21,17 +21,25 @@ Both composed operators come from ``diffops.compose_with_base``: the
 non-Weierstrass one from algebraic coefficients, the Weierstrass one from
 series coefficients in the disk coordinate.
 
-Every affine disk runs one flow on L = sum G_k (d/dt)^k, its operator in
+Every affine disk builds its chart and L = sum G_k (d/dt)^k, its operator in
 the disk parameter t (``diffops.local_operator`` of the planned D, or the
-composed Weierstrass annihilator, already in t): the niceness certificate
-scans L, D(G) = ``apply_series(L, G)``, and the zero count reads D(G)
-through the chart.  Only disks with a planned candidate certify D(G).
+composed Weierstrass annihilator, already in t), and the niceness
+certificate scans L.  The zero count N_b then takes one of two routes:
 
-The per-disk zero count N_b of the algebraic image F is the least index of
-minimal valuation of its expansion: by Weierstrass preparation this is the
-number of C_p zeros of F on the whole disk.  It is certified either against
-the integrality floor of the inputs or against the polar-degree bound of the
-certified candidate (min S(F) never exceeds the polar degree).
+* a non-Weierstrass disk reads N_b from the reduction of F = D(G) mod p,
+  ``CurveFunction.order_mod_p`` at (x_bar, y_bar).  By Weierstrass
+  preparation the order of the reduction is the number of C_p zeros of F on
+  the whole disk, and it is at most the polar degree of F.  No series of G
+  or of F is built, and neither T nor the input floor enters N_b.
+* a Weierstrass disk expands G on its chart, applies L to it and reads N_b as
+  the least index of minimal valuation of D(G).  That index is certified
+  against the integrality floor of the inputs or against the polar-degree
+  bound of the candidate (min S(F) never exceeds the polar degree); on the
+  order-2 shape the expansion of D(G) is first checked against the candidate.
+
+``certified_algebraic`` is true when D(G) is ``algebraic_image``'s exact
+output: on every non-Weierstrass disk with a candidate, and on an order-2
+Weierstrass disk whose series matched the candidate.
 
 ``run_pipeline`` plans each spec once (``SpecPlan``) before its disk loop:
 the input floor, the operator of each affine disk kind, the candidate image
@@ -39,18 +47,14 @@ and the candidate's polar degree depend on the spec only.  A DomainError or
 PrecisionError raised while planning is kept and reported on each disk that
 needs the entry, at the step where that disk would have raised it.
 
-Within one run, two non-Weierstrass disks share their exact series when the
-chart centre (x0, sqrt d) lies in Q(sqrt d) and both the truncation T and
-``spec.constants_for(disk)`` agree.  That is the conjugate pair (x, y),
-(x, -y): both charts expand the same series and differ only in the p-adic
-embedding of sqrt d.  The pair computes once G, the local operator L, D(G)
-and the algebraic certificate.  Each disk still builds its own chart and,
-through its own embedding, takes the niceness valuation scan and the zero
-count.  Centres with a rational
-y0 = +-r give different series and share nothing else.  Every pair, rational
-or quadratic, shares the unit series sqrt(f(x0 + t)/f(x0)) its two charts
-are built from.  The plan and the shared series live for one
-``run_pipeline`` call only.
+Within one run, the two disks of a conjugate pair (x, y), (x, -y) whose chart
+centre (x0, sqrt d) lies in Q(sqrt d) share L: both charts expand the same
+series and differ only in the p-adic embedding of sqrt d, and L reads no disk
+constants.  Each disk still builds its own chart and takes the niceness scan
+through its own embedding.  Centres with a rational y0 = +-r give different
+series and share no L.  Every pair, rational or quadratic, shares the unit
+series sqrt(f(x0 + t)/f(x0)) its two charts are built from.  The plan and the
+shared series live for one ``run_pipeline`` call only.
 """
 
 from dataclasses import dataclass
@@ -277,9 +281,10 @@ class SpecPlan:
 
     Holds the input floor, ``eta_den`` and one ``_OperatorPlan`` per affine
     disk kind among ``disks`` (a single one for every affine disk on the
-    order-2 shape), plus the memo of exact series that a conjugate quadratic
-    pair shares and the memo of chart unit series that the two disks above
-    one x_bar share (``units``, see ``funcfield.nonweierstrass_chart``).
+    order-2 shape), plus the memo of local operators that a conjugate
+    quadratic pair shares (``shared_operator``) and the memo of chart unit
+    series that the two disks above one x_bar share (``units``, see
+    ``funcfield.nonweierstrass_chart``).
     Planning first runs ``ColemanSpec.check_constants``, so a constants key
     added after the spec was built fails the run with DomainError before any
     disk is analysed.
@@ -300,29 +305,20 @@ class SpecPlan:
         self._pairs = {}
         self.units = {}
 
-    def exact_series(self, chart):
-        """Memo of the exact series on one disk's chart.
+    def shared_operator(self, D, chart):
+        """``local_operator(D, chart)``, shared by a conjugate quadratic pair.
 
-        The memo is shared with the conjugate disk when the centre is
-        quadratic and T and the disk constants agree; it is dropped from the
-        plan once the second disk of the pair has taken it.  Any other chart
-        gets a fresh memo.
+        The two charts of the pair (one run, one T) expand the same series, so
+        the second disk takes L from the memo and drops it there.  L reads
+        neither the disk constants nor the embedding.  A rational chart gets
+        its own L.
         """
         if chart.embedding is None:
-            return {}
-        c = self.spec.constants_for(chart.disk)
-        key = (chart.center, chart.T, tuple(c.singles), tuple(map(tuple, c.doubles)), c.eta)
-        memo = self._pairs.pop(key, None)
-        if memo is None:
-            memo = self._pairs[key] = {}
-        return memo
-
-
-def _once(memo, name, compute, *args):
-    """memo[name], computed as compute(*args) the first time."""
-    if name not in memo:
-        memo[name] = compute(*args)
-    return memo[name]
+            return local_operator(D, chart)
+        L = self._pairs.pop(chart.center, None)
+        if L is None:
+            L = self._pairs[chart.center] = local_operator(D, chart)
+        return L
 
 
 def analyze_disk(spec, disk):
@@ -350,28 +346,38 @@ def analyze_disk(spec, disk):
         planned = plan.operators[disk.kind]
         D, desc, order, candidate = planned.operator()
         ana.operator, ana.order = desc, order
-        exact = plan.exact_series(chart)
-        G = _once(exact, "G", expand_G, spec, chart)
+        weierstrass = disk.kind == "affine_weierstrass"
+        if weierstrass:
+            G = expand_G(spec, chart)
         if D is None:   # Weierstrass disk: the composed annihilator is already in t
             L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
         elif not candidate:
             ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
             return ana
         else:
-            L = _once(exact, "L", local_operator, D, chart)
+            L = plan.shared_operator(D, chart)
         ana.order = L.order
         ana.nice = check_nice(L, p, chart=chart)
-        DG = _once(exact, "DG", apply_series, L, G)
+        if weierstrass:
+            DG = apply_series(L, G)
+        elif chart.T <= L.order:
+            # the scan of L would read fewer terms than L has coefficients
+            raise PrecisionError(f"series precision {chart.T} below operator order {L.order}",
+                                 needed=L.order + 1)
         ana.dg_candidate = candidate
         degree = planned.degree()
-        if candidate is not None:
-            ana.certified = _once(exact, "certified", certify_algebraic, DG, candidate, chart)
-            if not ana.certified:
-                ana.error = "algebraic certification failed"
-                return ana
-        ana.n_b, ana.n_b_method = algebraic_zero_count(
-            DG, p, plan.floor, degree, val=chart.valuation_of
-        )
+        if weierstrass:
+            if candidate is not None:
+                ana.certified = certify_algebraic(DG, candidate, chart)
+                if not ana.certified:
+                    ana.error = "algebraic certification failed"
+                    return ana
+            ana.n_b, ana.n_b_method = algebraic_zero_count(
+                DG, p, plan.floor, degree, val=chart.valuation_of
+            )
+        else:
+            ana.n_b = candidate.order_mod_p(disk.x_bar, disk.y_bar, p, degree)
+            ana.certified, ana.n_b_method = True, "reduction order"
         if not ana.nice.ok:
             ana.error = (
                 f"operator not nice: coefficient {ana.nice.failure_index} has "

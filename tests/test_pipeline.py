@@ -143,9 +143,23 @@ class TestEllipticPipeline:
             expected = 1 if (ana.disk.x_bar + a_const) % 5 == 0 else 0
             assert ana.n_b == expected
 
+    @pytest.mark.parametrize("T", [3, 20])
+    def test_candidate_divisible_by_p_counts_from_its_reduction(self, T):
+        # D(G) = 5x + 5: its reduction is x + 1 up to a unit, so N_b = 1 on the
+        # disks above x = 4 and 0 elsewhere, at any T; the series route read
+        # n_b from T (the ledger degree 2 on every disk at T = 3)
+        C = CurveModel("odd", [1, 1, 0, 1])
+        spec = ColemanSpec(curve=C, p=5, a_matrix=[[5, 5], [0, 0]], a_vector=[0, 0],
+                           h=CurveFunction.const(C, 1), T=T)
+        result = run_pipeline(spec)
+        affine = [a for a in result.analyses if a.disk.kind != "infinite"]
+        assert affine and all(a.n_b_method == "reduction order" and a.certified is True for a in affine)
+        assert {str(a.disk): a.n_b for a in affine if a.n_b} == {"(4,2)": 1, "(4,3)": 1}
+        assert result.total_bound == 28
+
     def test_deliberately_low_precision_flagged(self):
-        # T = 3 still succeeds (the ledger fallback is sound); T = 2 starves
-        # the order-2 operator of every output coefficient
+        # T = 3 still succeeds; at T = 2 the scan of the order-2 operator
+        # reads fewer terms than the operator has coefficients
         spec = elliptic_spec([1, 1, 0, 1], T=2)
         result = run_pipeline(spec)
         assert not result.ok
@@ -366,34 +380,69 @@ class TestSpecPlan:
                 assert calls == {candidate: runs, "polar_degree": runs}
 
     @pytest.mark.parametrize(
-        "make_spec, shared_pairs",
+        "make_spec",
         [
-            (lambda: elliptic_spec([1, 1, 0, 1]), 3),
-            (even_quartic_eta_spec, 3),
-            # constants on (0,3) but not on its conjugate (0,4): that pair must not share
-            (lambda: even_quartic_eta_spec({"(0,3)": DiskConstants(
+            lambda: elliptic_spec([1, 1, 0, 1]),
+            even_quartic_eta_spec,
+            # constants on (0,3) but not on its conjugate (0,4): L reads no
+            # constants, so that pair shares too
+            lambda: even_quartic_eta_spec({"(0,3)": DiskConstants(
                 [Fraction(1), Fraction(-1, 2), Fraction(3)],
                 [[Fraction(i - j) for j in range(3)] for i in range(3)],
                 Fraction(2),
-            )}), 2),
+            )}),
         ],
         ids=["odd_p5", "even_eta_p7", "even_eta_p7_one_sided_constants"],
     )
-    def test_shared_pairs_match_standalone_disks(self, monkeypatch, make_spec, shared_pairs):
+    def test_shared_pairs_match_standalone_disks(self, monkeypatch, make_spec):
+        # each spec has three conjugate quadratic pairs; a pair builds its
+        # local operator once
         spec = make_spec()
-        expansions = Counter()
-        expand_G = pipeline.expand_G
+        operators = Counter()
+        local_operator = pipeline.local_operator
 
-        def counted_expand_G(spec, chart):
-            expansions[str(chart.disk)] += 1
-            return expand_G(spec, chart)
+        def counted_local_operator(D, chart):
+            operators[str(chart.disk)] += 1
+            return local_operator(D, chart)
 
-        monkeypatch.setattr(pipeline, "expand_G", counted_expand_G)
+        monkeypatch.setattr(pipeline, "local_operator", counted_local_operator)
         result = run_pipeline(spec)
         affine = [a for a in result.analyses if a.disk.kind != "infinite"]
-        assert sum(expansions.values()) == len(affine) - shared_pairs
+        assert sum(operators.values()) == len(affine) - 3
         in_run, standalone = affine_json_in_run_and_standalone(spec, result)
         assert in_run == standalone
+
+    @pytest.mark.parametrize(
+        "make_spec, certifies",
+        [(lambda: elliptic_spec([0, -1, 0, 1], a=Fraction(1)), True),   # order-2 shape
+         (lambda: genus2_even_spec(seed=3), False)],                     # the annihilator
+        ids=["order2_shape", "annihilator"],
+    )
+    def test_series_route_runs_on_weierstrass_disks_only(self, monkeypatch, make_spec, certifies):
+        # a non-Weierstrass disk reads N_b from the reduction of its candidate:
+        # no series of G or D(G); every Weierstrass disk keeps the series route
+        series_route = ("expand_G", "apply_series", "certify_algebraic", "algebraic_zero_count")
+        calls, kinds = Counter(), []
+        analyze = pipeline.analyze_disk
+
+        def tracked_analyze_disk(plan, disk):
+            kinds.append(disk.kind)
+            return analyze(plan, disk)
+
+        monkeypatch.setattr(pipeline, "analyze_disk", tracked_analyze_disk)
+        for name in series_route:
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[kinds[-1], _name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        result = run_pipeline(make_spec())
+        assert result.ok, [a.error for a in result.failed()]
+        n_w = sum(a.disk.kind == "affine_weierstrass" for a in result.analyses)
+        assert n_w and any(a.disk.kind == "affine_nonweierstrass" for a in result.analyses)
+        expected = {("affine_weierstrass", name): n_w for name in series_route
+                    if certifies or name != "certify_algebraic"}
+        assert calls == expected
 
     @pytest.mark.parametrize("make_spec", [lambda: elliptic_spec([1, 1, 0, 1]), even_quartic_eta_spec],
                              ids=["odd_p5", "even_eta_p7"])
