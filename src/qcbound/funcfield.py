@@ -390,39 +390,54 @@ class CurveFunction:
         return out
 
     def order_mod_p(self, x_bar, y_bar, p, limit):
-        """ord_t of the reduction of F at an affine F_p point (x_bar, y_bar),
-        y_bar != 0, t = x - x_bar: the number of zeros of F on that residue
-        disk (Weierstrass preparation).
+        """ord of the reduction of F at an affine F_p point (x_bar, y_bar): the
+        number of zeros of F on that residue disk (Weierstrass preparation).
 
-        f^k E = c f^k E0 with E0 primitive in Z[x] (f is monic and integral)
-        and f(x_bar) != 0 mod p, so F has a pole on the disk when E0(x_bar) =
-        0 mod p (DomainError).  Otherwise, with lo the least valuation of the
-        coefficients of A and B, p^-lo c F reduces to (a + b s)/(f^k E0), a
-        unit multiple of a + b s: a, b the reductions of p^-lo A, p^-lo B and
-        s = sqrt(f(x_bar + t)) in F_p[[t]], s_0 = y_bar.  It is nonzero, as 1
-        and y are independent over F_p(x), and its order is at most its
-        degree, so at most ``limit``, F's polar degree; a reduction still
-        zero past ``limit`` is a bug (RuntimeError).
+        f^k E = c f^k E0 with E0 primitive in Z[x] (f is monic and integral),
+        and F has a pole on the disk when E0(x_bar) = 0 mod p (DomainError).
+        Otherwise, with lo the least valuation of the coefficients of A and B,
+        p^-lo c F reduces to (a + b y)/(f^k E0), a and b the reductions of
+        p^-lo A and p^-lo B.  It is nonzero, as 1 and y are independent over
+        F_p(x), and its order is at most its degree, so at most ``limit``,
+        F's polar degree; an order past ``limit`` is a bug (RuntimeError).
+
+        * y_bar != 0: f^k E0 is a unit at x_bar, and the order is ord_t of
+          a + b s in F_p[[t]], t = x - x_bar, s = sqrt(f(x_bar + t)), s_0 = y_bar.
+        * y_bar = 0 (DomainError unless f(x_bar) = 0 mod p): x_bar is a simple
+          root of f mod p at good reduction, so y is a uniformizer and x - x_bar
+          has order 2.  So a has the even order 2 m(a) and b y the odd order
+          2 m(b) + 1, m the multiplicity of the root x_bar mod p, and the order
+          is min(2 m(a), 2 m(b) + 1) - 2k.  f^k adds no pole on the disk when
+          ``weierstrass_order(F) >= 0`` (else DomainError).
         """
         p = as_prime(p)
-        if not y_bar % p:
-            raise DomainError(f"not a non-Weierstrass point: y = {y_bar} mod {p}")
+        weierstrass = not y_bar % p
+        if weierstrass and value_mod(self.model.f, x_bar, p):
+            raise DomainError(f"not a point of the curve: y = 0 but f({x_bar}) != 0 mod {p}")
         if self.E.degree > 0:
             E0 = Poly(primitive_int(self.E)[1])
             if not value_mod(E0, x_bar, p):
                 raise DomainError(f"pole on this disk: {E0!r} vanishes at x = {x_bar} mod {p}")
         if not self:
             raise DomainError("zero function")
+        if weierstrass and weierstrass_order(self) < 0:
+            raise DomainError(f"pole along W: weierstrass_order {weierstrass_order(self)} < 0")
         scale = Fraction(p) ** -min(valuation(c, p) for P in (self.A, self.B) for c in P.coeffs if c)
-        n = limit + 1
+        # at y_bar = 0 an order up to limit needs m(a), m(b) <= limit/2 + k
+        n = limit // 2 + self.k + 1 if weierstrass else limit + 1
         a, b = (_taylor_mod(_scaled(P, scale), x_bar, p, n) for P in (self.A, self.B))
-        phi = _taylor_mod(self.model.f, x_bar, p, n)
-        half, s = pow(2 * y_bar, -1, p), [y_bar % p]
-        for i in range(n):
-            if i:
-                s.append((phi[i] - sum(s[k] * s[i - k] for k in range(1, i))) * half % p)
-            if (a[i] + sum(b[j] * s[i - j] for j in range(i + 1))) % p:
-                return i
+        if weierstrass:
+            orders = [2 * i + j - 2 * self.k for j, part in enumerate((a, b)) for i, c in enumerate(part) if c]
+            if orders and min(orders) <= limit:
+                return min(orders)
+        else:
+            phi = _taylor_mod(self.model.f, x_bar, p, n)
+            half, s = pow(2 * y_bar, -1, p), [y_bar % p]
+            for i in range(n):
+                if i:
+                    s.append((phi[i] - sum(s[k] * s[i - k] for k in range(1, i))) * half % p)
+                if (a[i] + sum(b[j] * s[i - j] for j in range(i + 1))) % p:
+                    return i
         raise RuntimeError(f"reduction of {self!r} vanishes past its degree bound {limit} at x = {x_bar}")
 
     def __repr__(self):

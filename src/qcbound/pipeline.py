@@ -9,9 +9,9 @@ Operator selection mirrors the constructions the bounds are proved with:
 * both candidates D(G) are ``coleman.algebraic_image`` of the planned
   operator: D applied to G symbolically, an exact CurveFunction; it raises
   unless every integral has cancelled.
-* Weierstrass disks (genus >= 2) use the divided-power annihilator in the
-  disk coordinate composed with d/omega_0; the zero count falls back to the
-  proof's output-ledger degree unless the truncation exceeds it.
+* Weierstrass disks outside the order-2 shape use the divided-power
+  annihilator in the disk coordinate composed with d/omega_0.  It has no
+  candidate.
 * the infinite disks of an even model are handled jointly by the ledger
   degree of the flipped-model analysis (expanding G there would need the
   transformed constants, which require global reduction machinery); odd
@@ -24,22 +24,19 @@ series coefficients in the disk coordinate.
 Every affine disk builds its chart and L = sum G_k (d/dt)^k, its operator in
 the disk parameter t (``diffops.local_operator`` of the planned D, or the
 composed Weierstrass annihilator, already in t), and the niceness
-certificate scans L.  The zero count N_b then takes one of two routes:
+certificate scans L.  The zero count N_b takes one of two routes, chosen by
+whether the plan has a candidate, not by the kind of disk:
 
-* a non-Weierstrass disk reads N_b from the reduction of F = D(G) mod p,
-  ``CurveFunction.order_mod_p`` at (x_bar, y_bar).  By Weierstrass
-  preparation the order of the reduction is the number of C_p zeros of F on
-  the whole disk, and it is at most the polar degree of F.  No series of G
-  or of F is built, and neither T nor the input floor enters N_b.
-* a Weierstrass disk expands G on its chart, applies L to it and reads N_b as
-  the least index of minimal valuation of D(G).  That index is certified
-  against the integrality floor of the inputs or against the polar-degree
-  bound of the candidate (min S(F) never exceeds the polar degree); on the
-  order-2 shape the expansion of D(G) is first checked against the candidate.
-
-``certified_algebraic`` is true when D(G) is ``algebraic_image``'s exact
-output: on every non-Weierstrass disk with a candidate, and on an order-2
-Weierstrass disk whose series matched the candidate.
+* with a candidate F = D(G), every affine disk, Weierstrass points included,
+  reads N_b from the reduction of F mod p, ``CurveFunction.order_mod_p`` at
+  (x_bar, y_bar).  By Weierstrass preparation that order is the number of
+  C_p zeros of F on the whole disk, at most the polar degree of F.  No series
+  of G or of F is built, and neither T nor the input floor enters N_b.
+  ``certified_algebraic`` is true: D(G) is ``algebraic_image``'s exact output.
+* a disk of the Weierstrass annihilator expands G on its chart, applies L to
+  it and reads N_b as the least index of minimal valuation of D(G), certified
+  against the integrality floor of the inputs or, when T exceeds it, by the
+  proof's output-ledger degree; else N_b is that degree.
 
 ``run_pipeline`` plans each spec once (``SpecPlan``) before its disk loop:
 the input floor, the operator of each affine disk kind, the candidate image
@@ -60,7 +57,11 @@ shared series live for one ``run_pipeline`` call only.
 from dataclasses import dataclass
 
 from .bounds import ledger_degrees, per_disk_bound, strict_integer_bound
-from .coleman import algebraic_image, certify_algebraic, expand_G
+from .coleman import (
+    algebraic_image,
+    certify_algebraic,  # not called here: perfbench/probes.py wraps this name in traced runs
+    expand_G,
+)
 from .diffops import (
     DifferentialOperator,
     apply_on_chart,  # not called here: perfbench/probes.py wraps this name in traced runs
@@ -110,7 +111,6 @@ class PipelineResult:
     analyses: list
     total_bound: int = None
     infinite_note: str = ""
-    spec_floor: int = 0
 
     @property
     def ok(self):
@@ -200,17 +200,12 @@ def nonweierstrass_candidate(spec):
 
 
 def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
-    """(n_b, method) for a certified-algebraic image on one disk: the least
-    index of minimal valuation, certified by the input floor or, when T
-    exceeds it, by the polar-degree bound; else that bound."""
+    """(n_b, method) from D(G)'s series on a disk of the Weierstrass annihilator
+    (no candidate): the least index of minimal valuation, certified by the input
+    floor or, when T exceeds it, by the ledger degree; else that degree."""
     best_i, best_v = lowest_valuation(F_series, p, val=val)
     if best_i is not None and best_v <= floor_val:
         return best_i, "reduction order"
-    if degree_bound is None:
-        raise PrecisionError(
-            "zero count not certifiable at this truncation",
-            needed=2 * F_series.truncation,
-        )
     if F_series.truncation > degree_bound and best_i is not None and best_i <= degree_bound:
         return best_i, "reduction order (degree-certified)"
     return degree_bound, "ledger degree"
@@ -346,10 +341,8 @@ def analyze_disk(spec, disk):
         planned = plan.operators[disk.kind]
         D, desc, order, candidate = planned.operator()
         ana.operator, ana.order = desc, order
-        weierstrass = disk.kind == "affine_weierstrass"
-        if weierstrass:
+        if D is None:   # Weierstrass annihilator, already in t: no candidate, N_b from D(G)'s series
             G = expand_G(spec, chart)
-        if D is None:   # Weierstrass disk: the composed annihilator is already in t
             L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
         elif not candidate:
             ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
@@ -358,23 +351,15 @@ def analyze_disk(spec, disk):
             L = plan.shared_operator(D, chart)
         ana.order = L.order
         ana.nice = check_nice(L, p, chart=chart)
-        if weierstrass:
-            DG = apply_series(L, G)
-        elif chart.T <= L.order:
+        if D is not None and chart.T <= L.order:
             # the scan of L would read fewer terms than L has coefficients
             raise PrecisionError(f"series precision {chart.T} below operator order {L.order}",
                                  needed=L.order + 1)
         ana.dg_candidate = candidate
         degree = planned.degree()
-        if weierstrass:
-            if candidate is not None:
-                ana.certified = certify_algebraic(DG, candidate, chart)
-                if not ana.certified:
-                    ana.error = "algebraic certification failed"
-                    return ana
-            ana.n_b, ana.n_b_method = algebraic_zero_count(
-                DG, p, plan.floor, degree, val=chart.valuation_of
-            )
+        if D is None:
+            ana.n_b, ana.n_b_method = algebraic_zero_count(apply_series(L, G), p, plan.floor, degree,
+                                                           val=chart.valuation_of)
         else:
             ana.n_b = candidate.order_mod_p(disk.x_bar, disk.y_bar, p, degree)
             ana.certified, ana.n_b_method = True, "reduction order"
@@ -447,7 +432,6 @@ def run_pipeline(spec):
             if spec.curve.kind == "even"
             else "the infinite disk is excluded (integral points)"
         ),
-        spec_floor=plan.floor,
     )
 
 

@@ -199,8 +199,8 @@ def test_criterion_06_elliptic_end_to_end():
         for ana in result.analyses:
             if ana.disk.kind == "infinite":
                 continue
-            # D(G) is algebraic_image's exact output; on a Weierstrass disk its
-            # series also matched the candidate to T - 2 in certify_algebraic
+            # D(G) is algebraic_image's exact output, and N_b the order of its
+            # reduction mod p on Weierstrass and non-Weierstrass disks alike
             assert ana.certified is True
             assert ana.dg_candidate == expect
             assert ana.order == 2

@@ -413,14 +413,16 @@ class TestSpecPlan:
         assert in_run == standalone
 
     @pytest.mark.parametrize(
-        "make_spec, certifies",
-        [(lambda: elliptic_spec([0, -1, 0, 1], a=Fraction(1)), True),   # order-2 shape
-         (lambda: genus2_even_spec(seed=3), False)],                     # the annihilator
+        "make_spec, annihilator",
+        [(lambda: elliptic_spec([0, -1, 0, 1], a=Fraction(1)), False),  # order-2 shape
+         (lambda: genus2_even_spec(seed=3), True)],                      # the annihilator
         ids=["order2_shape", "annihilator"],
     )
-    def test_series_route_runs_on_weierstrass_disks_only(self, monkeypatch, make_spec, certifies):
-        # a non-Weierstrass disk reads N_b from the reduction of its candidate:
-        # no series of G or D(G); every Weierstrass disk keeps the series route
+    def test_series_route_runs_on_weierstrass_disks_only(self, monkeypatch, make_spec, annihilator):
+        # a disk with a candidate, Weierstrass or not, reads N_b from the
+        # reduction of the candidate: no series of G or D(G).  Only the disks
+        # of the Weierstrass annihilator, which has no candidate, keep the
+        # series route, and certify_algebraic runs nowhere
         series_route = ("expand_G", "apply_series", "certify_algebraic", "algebraic_zero_count")
         calls, kinds = Counter(), []
         analyze = pipeline.analyze_disk
@@ -441,7 +443,7 @@ class TestSpecPlan:
         n_w = sum(a.disk.kind == "affine_weierstrass" for a in result.analyses)
         assert n_w and any(a.disk.kind == "affine_nonweierstrass" for a in result.analyses)
         expected = {("affine_weierstrass", name): n_w for name in series_route
-                    if certifies or name != "certify_algebraic"}
+                    if annihilator and name != "certify_algebraic"}
         assert calls == expected
 
     @pytest.mark.parametrize("make_spec", [lambda: elliptic_spec([1, 1, 0, 1]), even_quartic_eta_spec],

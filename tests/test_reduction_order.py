@@ -1,29 +1,34 @@
-"""N_b on non-Weierstrass disks from the reduction of D(G) mod p.
+"""N_b on affine disks from the reduction of D(G) mod p.
 
 ``CurveFunction.order_mod_p`` reads the zero count of an algebraic function
-on a residue disk from its reduction, with no p-adic series.  The series
-route it replaced in ``analyze_disk`` is rebuilt here as the oracle:
-``expand_G`` -> ``local_operator`` -> ``apply_series`` -> ``certify_algebraic``
--> ``algebraic_zero_count``.  Wherever that route certifies a reduction
-order, the pipeline's ``n_b`` must equal it.
+on a residue disk from its reduction, with no p-adic series, at
+non-Weierstrass and Weierstrass points alike.  The series route it replaced
+in ``analyze_disk`` is rebuilt here as the oracle: ``expand_G`` ->
+``local_operator`` -> ``apply_series`` -> ``certify_algebraic`` ->
+``algebraic_zero_count``.  Wherever that route certifies a reduction order,
+the pipeline's ``n_b`` must equal it.  The orders read from one candidate
+also sum to at most its polar degree.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from perfbench_support import workload_cases
 
 from qcbound.coleman import ColemanSpec, certify_algebraic, expand_G
 from qcbound.diffops import apply_series, local_operator
 from qcbound.errors import DomainError, PrecisionError
 from qcbound.funcfield import CurveFunction, RationalFunc, chart_for
 from qcbound.hyperelliptic import CurveModel, has_smooth_reduction, residue_disks, value_mod
-from qcbound.pipeline import SpecPlan, algebraic_zero_count, analyze_disk
+from qcbound.pipeline import SpecPlan, algebraic_zero_count, analyze_disk, polar_degree, run_pipeline
 from qcbound.polys import Poly
 from qcbound.series import lowest_valuation
 
 ELLIPTIC = CurveModel("odd", [1, 1, 0, 1])       # y^2 = x^3 + x + 1
+CONGRUENT = CurveModel("odd", [0, -1, 0, 1])     # y^2 = x^3 - x, W = {0, 1, -1}
 
 
 def series_order(F, disk, p, T=12):
@@ -69,10 +74,23 @@ class TestHandCases:
         with pytest.raises(RuntimeError, match="past its degree bound 1"):
             F.order_mod_p(0, 1, 5, limit=1)
 
-    def test_weierstrass_point_refused(self):
-        C = CurveModel("odd", [0, -1, 0, 1])      # y^2 = x^3 - x
-        with pytest.raises(DomainError, match="not a non-Weierstrass point"):
-            CurveFunction.x(C).order_mod_p(0, 0, 5, limit=2)
+    def test_weierstrass_point_orders(self):
+        # y is a uniformizer at (0, 0) and x has order 2; x + 5 reduces to x,
+        # and both points over x = -5 lie in the disk of (0, 0)
+        x, y = CurveFunction.x(CONGRUENT), CurveFunction.y(CONGRUENT)
+        disk = next(d for d in residue_disks(CONGRUENT, 5) if (d.x_bar, d.y_bar) == (0, 0))
+        for F, n_b in ((x, 2), (y, 1), (x + 5, 2)):
+            assert F.order_mod_p(0, 0, 5, limit=4) == n_b == series_order(F, disk, 5)
+
+    def test_pole_at_the_weierstrass_point_raises(self):
+        # x^0/y = 1/y has a simple pole at every point of W
+        with pytest.raises(DomainError, match="pole along W"):
+            CurveFunction.x_power_over_y(CONGRUENT, 0).order_mod_p(0, 0, 5, limit=4)
+
+    def test_point_off_the_curve_refused(self):
+        # f(2) = 6 is a unit mod 5, so (2, 0) is no point of the curve
+        with pytest.raises(DomainError, match="not a point of the curve"):
+            CurveFunction.x(CONGRUENT).order_mod_p(2, 0, 5, limit=4)
 
 
 # -- the series route as the oracle -----------------------------------------------
@@ -123,6 +141,26 @@ def specs(draw):
     return ColemanSpec(curve=C, p=p, a_matrix=a_matrix, a_vector=a_vector, h=h, eta=eta, T=T)
 
 
+@st.composite
+def order2_specs(draw):
+    """A spec of the order-2 shape on a random odd curve of genus 1-2 with good
+    reduction at p in {5, 7, 11, 13}, and an integer root r of f, so that the
+    Weierstrass disk of r mod p has a rational centre."""
+    g = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([5, 7, 11, 13]))
+    f = Poly([-draw(small), 1]) * Poly(draw(st.lists(small, min_size=2 * g, max_size=2 * g)) + [1])
+    try:
+        C = CurveModel("odd", f)
+    except DomainError:
+        assume(False)
+    assume(has_smooth_reduction(C, p))
+    n = C.basis_size
+    a_matrix = [[Fraction(draw(small)) for _ in range(n)]] + [[Fraction(0)] * n for _ in range(n - 1)]
+    a_vector = [Fraction(draw(small)) for _ in range(n)]
+    h = CurveFunction(C, Poly(draw(st.lists(small, max_size=g + 2))))
+    return ColemanSpec(curve=C, p=p, a_matrix=a_matrix, a_vector=a_vector, h=h, T=draw(st.sampled_from([12, 20])))
+
+
 def series_route(plan, disk):
     """(certified, n_b, method) from the series route on one disk."""
     spec = plan.spec
@@ -164,3 +202,44 @@ class TestSeriesRouteOracle:
                 assert ana.n_b == n_b, (disk, method)
             else:
                 assert ana.n_b <= n_b      # within the ledger degree
+
+    @settings(max_examples=40, deadline=None)
+    @given(order2_specs())
+    def test_weierstrass_reduction_order_matches_the_series_route(self, spec):
+        disks = residue_disks(spec.curve, spec.p)
+        plan = SpecPlan(spec, disks)
+        try:
+            candidate = plan.operators["affine_weierstrass"].operator()[3]
+        except DomainError:
+            assume(False)
+        assume(candidate)
+        compared = 0
+        for disk in disks:
+            if disk.kind != "affine_weierstrass":
+                continue
+            try:
+                certified, n_b, method = series_route(plan, disk)
+            except (DomainError, PrecisionError):
+                continue      # no rational centre: no chart for either route
+            ana = analyze_disk(plan, disk)
+            assert certified
+            assert (ana.certified, ana.n_b_method) == (True, "reduction order"), ana.error
+            if method.startswith("reduction order"):
+                assert ana.n_b == n_b, (disk, method)
+                compared += 1
+            else:
+                assert ana.n_b <= n_b      # within the polar degree
+        assume(compared)
+
+
+class TestLedgerSums:
+    @pytest.mark.parametrize("workload", ["genus2_even_p7", "genus1_batch"])
+    def test_orders_from_one_candidate_sum_within_its_polar_degree(self, workload):
+        # sum over P of ord_P(F mod p) <= deg(F mod p) <= polar_degree(F)
+        for case in workload_cases(workload, 3):
+            sums = Counter()
+            for ana in run_pipeline(case.spec).analyses:
+                if ana.certified and ana.n_b_method == "reduction order":
+                    sums[ana.dg_candidate] += ana.n_b
+            for F, total in sums.items():
+                assert total <= polar_degree(F), (case.name, F)
