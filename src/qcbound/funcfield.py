@@ -7,7 +7,8 @@ shape of Kedlaya's reduction of B(x) y / f^k dx.  Sums, products and the two
 derivations of interest, d/dx (with dy/dx = f'(x)/(2y)) and d/omega_0 =
 y d/dx, have closed forms in this shape and run no gcd.  Only ``inverse`` and
 an input whose denominator is not a power of f make E != 1; there the factors
-of the denominator shared with f move into the f-power.
+of the denominator shared with f move into the f-power, and a derivation
+takes one gcd(E, E') so that E grows by its radical, not by E.
 
 Reduction happens once per function, on demand: ``a`` and ``b`` give the
 reduced view a(x) + b(x) y, each part a gcd-reduced ``RationalFunc`` with a
@@ -314,14 +315,24 @@ class CurveFunction:
             return NotImplemented
         return self * other.inverse()
 
-    def _quotient_numerator(self, P):
-        """P'E - PE', the numerator of d/dx (P/E) over E^2."""
+    def _split_E(self):
+        """(e, h, E e) with g = gcd(E, E'), e = E/g and h = E'/g, so that
+        d/dx (P/E) = (P'e - Ph) / (E e); E = 1 takes no gcd."""
+        if self.E.degree == 0:
+            return self.E, Poly(), self.E
+        dE = self.E.derivative()
+        g = poly_gcd(self.E, dE)
+        e = self.E.exact_div(g)
+        return e, dE.exact_div(g), self.E * e
+
+    def _quotient_numerator(self, P, e, h):
+        """P'e - Ph, the numerator of d/dx (P/E) over E e."""
         if self.E.degree == 0:
             return P.derivative()
-        return P.derivative() * self.E - P * self.E.derivative()
+        return P.derivative() * e - P * h
 
-    def _dx_numerator(self, P, c):
-        """(P'f - c P f')E - P f E': over f^(k+1) E^2, d/dx (P/(f^k E)) for
+    def _dx_numerator(self, P, c, e, h):
+        """(P'f - c P f')e - P f h: over f^(k+1) E e, d/dx (P/(f^k E)) for
         c = k, and d/dx (P y/(f^k E)) divided by y for c = k - 1/2."""
         if not P:
             return P
@@ -329,37 +340,39 @@ class CurveFunction:
         out = P.derivative() * f - P * _scaled(f.derivative(), c)
         if self.E.degree == 0:
             return out
-        return out * self.E - P * f * self.E.derivative()
+        return out * e - P * f * h
 
     def d_dx(self):
         """Derivation with dy/dx = f'(x) / (2y).
 
-        With D = f^k E: d/dx (A/D) = ((A'f - kAf')E - AfE') / (f^(k+1) E^2) and
-        d/dx (By/D) = ((B'f - (k - 1/2)Bf')E - BfE') y / (f^(k+1) E^2).
+        With D = f^k E and e, h from ``_split_E``:
+        d/dx (A/D) = ((A'f - kAf')e - Afh) / (f^(k+1) E e) and
+        d/dx (By/D) = ((B'f - (k - 1/2)Bf')e - Bfh) y / (f^(k+1) E e).
+        So n derivatives of a squarefree E end over E^(n+1), not E^(2^n).
         """
-        E2 = _times(self.E, self.E)
+        e, h, Ee = self._split_E()
         if not self.B and not self.k:
-            return CurveFunction._make(self.model, self._quotient_numerator(self.A), Poly(), 0, E2)
+            return CurveFunction._make(self.model, self._quotient_numerator(self.A, e, h), Poly(), 0, Ee)
         return CurveFunction._make(
             self.model,
-            self._dx_numerator(self.A, self.k),
-            self._dx_numerator(self.B, self.k - _HALF),
-            self.k + 1, E2,
+            self._dx_numerator(self.A, self.k, e, h),
+            self._dx_numerator(self.B, self.k - _HALF, e, h),
+            self.k + 1, Ee,
         )
 
     def d_by_omega0(self):
         """y * d/dx, the derivation dual to omega_0 = dx/y; preserves polynomials.
 
-        y (Xa + Xb y) / (f^(k+1) E^2) = (Xb f + Xa y) / (f^(k+1) E^2), with Xa,
-        Xb the numerators of d/dx; when k = 0, Xa = f (A'E - AE') and the
+        y (Xa + Xb y) / (f^(k+1) E e) = (Xb f + Xa y) / (f^(k+1) E e), with Xa,
+        Xb the numerators of d/dx; when k = 0, Xa = f (A'e - Ah) and the
         power of f stays 0.
         """
-        E2 = _times(self.E, self.E)
-        Xb = self._dx_numerator(self.B, self.k - _HALF)
+        e, h, Ee = self._split_E()
+        Xb = self._dx_numerator(self.B, self.k - _HALF, e, h)
         if not self.k:
-            return CurveFunction._make(self.model, Xb, self._quotient_numerator(self.A), 0, E2)
+            return CurveFunction._make(self.model, Xb, self._quotient_numerator(self.A, e, h), 0, Ee)
         return CurveFunction._make(
-            self.model, Xb * self.model.f, self._dx_numerator(self.A, self.k), self.k + 1, E2
+            self.model, Xb * self.model.f, self._dx_numerator(self.A, self.k, e, h), self.k + 1, Ee
         )
 
     def d_dy(self):
@@ -745,18 +758,13 @@ def _centered_lift(x_bar, p):
 _LIFT_SCAN = 3
 
 
-def nonweierstrass_chart(model, disk, p, T, units=None):
+def nonweierstrass_chart(model, disk, p, T):
     """Chart at an affine non-Weierstrass disk.
 
     Scans the lifts x0 of x_bar within _LIFT_SCAN multiples of p of the
     centred one for f(x0) an exact rational square (a Q-rational center);
     otherwise works over Q(sqrt(f(x0))) with the embedding picked so that
     sqrt reduces to y_bar.
-
-    ``units`` is a memo that the disks of one run share: the unit series
-    sqrt(f(x0 + t)/f(x0)) by (x0, T).  The two disks above one x_bar pick
-    the same x0 (y0 = +-r, or sqrt d with two embeddings), so the second
-    takes the series from the memo and drops it there.
     """
     p = as_prime(p)
     if disk.kind != "affine_nonweierstrass":
@@ -788,11 +796,8 @@ def nonweierstrass_chart(model, disk, p, T, units=None):
     x0, y0, embedding = chosen
     d = model.f(x0)
     # y(t) = y0 * sqrt(f(x0 + t)/d); the inner series has constant term 1
-    units = {} if units is None else units
-    unit = units.pop((x0, T), None)
-    if unit is None:
-        shifted = model.f.compose_shift(x0)
-        unit = units[x0, T] = TruncatedSeries.from_polynomial([c / d for c in shifted.coeffs], T).sqrt_unit()
+    shifted = model.f.compose_shift(x0)
+    unit = TruncatedSeries.from_polynomial([c / d for c in shifted.coeffs], T).sqrt_unit()
     y_series = unit.scale(y0)
     x_laurent = LaurentSeries(0, TruncatedSeries.from_polynomial([x0, 1], T))
     return DiskChart(
@@ -851,11 +856,10 @@ def infinite_chart(model, label, T, p=None):
     return DiskChart(model, disk, T, x_laurent, y_laurent, p=p, description=desc)
 
 
-def chart_for(model, disk, p, T, units=None):
-    """Dispatch a chart construction on the disk kind; ``units`` is the
-    memo ``nonweierstrass_chart`` shares between the disks of one run."""
+def chart_for(model, disk, p, T):
+    """Dispatch a chart construction on the disk kind."""
     if disk.kind == "affine_nonweierstrass":
-        return nonweierstrass_chart(model, disk, p, T, units)
+        return nonweierstrass_chart(model, disk, p, T)
     if disk.kind == "affine_weierstrass":
         return weierstrass_chart(model, disk, p, T)
     if disk.kind == "infinite":

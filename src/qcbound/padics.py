@@ -11,6 +11,7 @@ greater than every integer, so series code can fold over coefficients
 uniformly.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -232,9 +233,11 @@ def kappa_bounds(p, width=Fraction(1, 10**10)):
         eps /= 16
 
 
+@functools.cache
 def kappa(p):
     """Rational upper approximation of kappa_p, within 10^-10 above the real value.
 
-    Rounded up so that downstream bounds remain valid upper bounds.
+    Rounded up so that downstream bounds remain valid upper bounds.  Computed
+    once per p: every disk bound at p reads the same value.
     """
     return kappa_bounds(p)[1]

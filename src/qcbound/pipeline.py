@@ -17,9 +17,10 @@ Operator selection mirrors the constructions the bounds are proved with:
   transformed constants, which require global reduction machinery); odd
   models exclude infinity (integral-point semantics).
 
-Both composed operators come from ``diffops.compose_with_base``: the
-non-Weierstrass one from algebraic coefficients, the Weierstrass one from
-series coefficients in the disk coordinate.
+All three operators come from ``diffops.compose_with_base``: the order-2 one
+(y d/dx composed with d/omega_0) and the non-Weierstrass one from algebraic
+d/dx coefficients, the Weierstrass one from series coefficients in the disk
+coordinate.
 
 Every affine disk builds its chart and L = sum G_k (d/dt)^k, its operator in
 the disk parameter t (``diffops.local_operator`` of the planned D, or the
@@ -42,16 +43,9 @@ whether the plan has a candidate, not by the kind of disk:
 the input floor, the operator of each affine disk kind, the candidate image
 and the candidate's polar degree depend on the spec only.  A DomainError or
 PrecisionError raised while planning is kept and reported on each disk that
-needs the entry, at the step where that disk would have raised it.
-
-Within one run, the two disks of a conjugate pair (x, y), (x, -y) whose chart
-centre (x0, sqrt d) lies in Q(sqrt d) share L: both charts expand the same
-series and differ only in the p-adic embedding of sqrt d, and L reads no disk
-constants.  Each disk still builds its own chart and takes the niceness scan
-through its own embedding.  Centres with a rational y0 = +-r give different
-series and share no L.  Every pair, rational or quadratic, shares the unit
-series sqrt(f(x0 + t)/f(x0)) its two charts are built from.  The plan and the
-shared series live for one ``run_pipeline`` call only.
+needs the entry, at the step where that disk would have raised it.  The plan
+holds spec-level data only: no two disks share a chart, a series or a local
+operator, so a disk analysed alone reports what it reports in a run.
 """
 
 from dataclasses import dataclass
@@ -177,8 +171,9 @@ def polar_degree(F):
 
 
 def _order2_operator(C):
-    """(d/omega_0)^2, the operator of the order-2 shape."""
-    return DifferentialOperator([CurveFunction.const(C, c) for c in (0, 0, 1)], base="omega0")
+    """(d/omega_0)^2 = f (d/dx)^2 + (f'/2) d/dx, the operator of the order-2 shape."""
+    y_ddx = DifferentialOperator([CurveFunction.const(C, 0), CurveFunction.y(C)], base="dx")
+    return compose_with_base(y_ddx, "omega0")
 
 
 def _nonweierstrass_operator(C):
@@ -272,17 +267,12 @@ class _OperatorPlan:
 
 
 class SpecPlan:
-    """Spec-level data built once and shared by the disks of one run.
-
-    Holds the input floor, ``eta_den`` and one ``_OperatorPlan`` per affine
-    disk kind among ``disks`` (a single one for every affine disk on the
-    order-2 shape), plus the memo of local operators that a conjugate
-    quadratic pair shares (``shared_operator``) and the memo of chart unit
-    series that the two disks above one x_bar share (``units``, see
-    ``funcfield.nonweierstrass_chart``).
-    Planning first runs ``ColemanSpec.check_constants``, so a constants key
-    added after the spec was built fails the run with DomainError before any
-    disk is analysed.
+    """Spec-level data, built once per run: the input floor, ``eta_den`` and
+    one ``_OperatorPlan`` per affine disk kind among ``disks`` (a single one
+    for every affine disk on the order-2 shape).  Nothing in it depends on a
+    disk.  Planning first runs ``ColemanSpec.check_constants``, so a
+    constants key added after the spec was built fails the run with
+    DomainError before any disk is analysed.
     """
 
     def __init__(self, spec, disks):
@@ -297,23 +287,6 @@ class SpecPlan:
             self.operators = dict.fromkeys(kinds, _OperatorPlan(spec, kinds[0]))
         else:
             self.operators = {kind: _OperatorPlan(spec, kind) for kind in kinds}
-        self._pairs = {}
-        self.units = {}
-
-    def shared_operator(self, D, chart):
-        """``local_operator(D, chart)``, shared by a conjugate quadratic pair.
-
-        The two charts of the pair (one run, one T) expand the same series, so
-        the second disk takes L from the memo and drops it there.  L reads
-        neither the disk constants nor the embedding.  A rational chart gets
-        its own L.
-        """
-        if chart.embedding is None:
-            return local_operator(D, chart)
-        L = self._pairs.pop(chart.center, None)
-        if L is None:
-            L = self._pairs[chart.center] = local_operator(D, chart)
-        return L
 
 
 def analyze_disk(spec, disk):
@@ -335,7 +308,7 @@ def analyze_disk(spec, disk):
         if not value_mod(plan.eta_den, disk.x_bar, p):
             raise DomainError(
                 f"eta has a pole on this disk: {plan.eta_den!r} vanishes at x = {disk.x_bar} mod {p}")
-        chart = chart_for(C, disk, p, spec.T, plan.units)
+        chart = chart_for(C, disk, p, spec.T)
         ana.parameter = chart.description
         ana.lift = str(chart.center)
         planned = plan.operators[disk.kind]
@@ -348,7 +321,7 @@ def analyze_disk(spec, disk):
             ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
             return ana
         else:
-            L = plan.shared_operator(D, chart)
+            L = local_operator(D, chart)
         ana.order = L.order
         ana.nice = check_nice(L, p, chart=chart)
         if D is not None and chart.T <= L.order:

@@ -161,15 +161,22 @@ class TruncatedSeries:
         return TruncatedSeries(_product(conj, _rational_inverse(norm), len(coeffs)))
 
     def sqrt_unit(self):
-        """Square root of a series with constant term exactly 1."""
+        """Square root u of a rational series s with constant term exactly 1.
+
+        With s = S/L in integers (L the least common denominator, so S_0 = L),
+        u_n = U_n / (2^(2n-1) L^n), where U_1 = S_1 and
+        U_n = (4L)^(n-1) S_n - sum_(k=1..n-1) U_k U_(n-k).
+        """
         if not self.coeffs or self.coeffs[0] != 1:
             raise NonUnitError("sqrt_unit requires constant term 1")
-        out = [self.coeffs[0]]
-        for n in range(1, len(self.coeffs)):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                acc = acc - out[k] * out[n - k]
-            out.append(acc / 2)
+        den, ints = common_denominator(self.coeffs)
+        out, U = [self.coeffs[0]], [None]
+        scale, power = 1, 2 * den
+        for n in range(1, len(ints)):
+            U.append(scale * ints[n] - sum(map(mul, U[1:n], U[n - 1:0:-1])))
+            out.append(Fraction(U[n], power))
+            scale *= 4 * den
+            power *= 4 * den
         return TruncatedSeries(out)
 
     def __repr__(self):
@@ -189,13 +196,19 @@ def _product(a, b, n):
     (two when one factor is rational).  Each coefficient k is built as a
     ``QuadExt``, which is a ``Fraction`` when its sqrt(d) part is zero.  A
     constant factor (no nonzero coefficient past index 0) scales the other
-    one instead, with the same values, types and length.
+    one instead, with the same values, types and length; a factor exactly 1
+    (V = 1/(dx/dt) on a chart t = x - x0) returns a copy of the other.
     """
     a, b = a[:n], b[:n]
     for const, other in ((a, b), (b, a)):
         if const and not any(const[1:]):
-            c = Fraction(const[0]) if isinstance(const[0], int) else const[0]
-            return [c * x for x in other] + [Fraction(0)] * (n - len(other))
+            c = const[0]
+            if c == 1:
+                out = [Fraction(x) if isinstance(x, int) else x for x in other]
+            else:
+                c = Fraction(c) if isinstance(c, int) else c
+                out = [c * x for x in other]
+            return out + [Fraction(0)] * (n - len(other))
     fields = {c.d for c in (*a, *b) if isinstance(c, QuadExt)}
     if not fields:
         return rational_convolve(a, b, n)

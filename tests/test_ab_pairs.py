@@ -1,8 +1,10 @@
 """tools/ab_pairs.py on stubbed benchmark runs: failed and attempted totals,
-the bounds of BENCHMARK.json and the environment of each run."""
+the bounds of BENCHMARK.json, the environment of each run, and the refusal of
+two checkouts whose benchmarks differ."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 from pathlib import Path
 
@@ -18,8 +20,17 @@ def load_ab_pairs():
     return module
 
 
+@pytest.fixture
+def parent(tmp_path):
+    """A parent checkout that shares this checkout's benchmark."""
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    return tmp_path
+
+
 @pytest.mark.parametrize("parent_failed, change_failed, code", [(1, 1, 0), (2, 1, 0), (1, 2, 1)])
-def test_exit_1_when_the_change_fails_a_larger_share(monkeypatch, capsys, tmp_path,
+def test_exit_1_when_the_change_fails_a_larger_share(monkeypatch, capsys, parent,
                                                       parent_failed, change_failed, code):
     ab = load_ab_pairs()
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
@@ -30,7 +41,7 @@ def test_exit_1_when_the_change_fails_a_larger_share(monkeypatch, capsys, tmp_pa
                 "metrics": {name: {"value": 1.0} for name in names}}
 
     monkeypatch.setattr(ab, "run_once", run_once)
-    assert ab.main([str(tmp_path), "--workload", "genus1_batch", "--pairs", "2"]) == code
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == code
     out = capsys.readouterr().out
     assert f"parent: {2 * parent_failed}/20 operations failed" in out
     assert f"change: {2 * change_failed}/20 operations failed" in out
@@ -57,10 +68,10 @@ def stub_run_once(ab, change_metrics):
     ({"disks_ok_frac": 0.9}, 1),
     ({"disks_ok_frac": 0.97}, 0),
 ])
-def test_exit_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys, tmp_path, change_metrics, code):
+def test_exit_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys, parent, change_metrics, code):
     ab = load_ab_pairs()
     monkeypatch.setattr(ab, "run_once", stub_run_once(ab, change_metrics))
-    assert ab.main([str(tmp_path), "--workload", "genus1_batch", "--pairs", "2"]) == code
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == code
     captured = capsys.readouterr()
     (name,) = change_metrics
     row = next(line for line in captured.out.splitlines() if line.startswith(name))
@@ -85,3 +96,36 @@ def test_runs_start_with_no_bytecode_cache(monkeypatch, tmp_path):
         assert ab.run_once(tmp_path, args, 1)["correct"]
     assert [env["PYTHONDONTWRITEBYTECODE"] for env in envs] == ["1", "1"]
     assert envs[0]["PYTHONPYCACHEPREFIX"] != envs[1]["PYTHONPYCACHEPREFIX"]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda parent: (parent / "BENCHMARK.json").write_text("{}"), ["BENCHMARK.json"]),
+    (lambda parent: (parent / "perfbench" / "workloads.py").write_text("# edited\n"), ["perfbench/workloads.py"]),
+    (lambda parent: (parent / "perfbench" / "extra.py").write_text(""), ["perfbench/extra.py"]),
+    (lambda parent: (parent / "perfbench" / "checks.py").unlink(), ["perfbench/checks.py"]),
+    (lambda parent: shutil.rmtree(parent / "perfbench"), None),
+])
+def test_exit_2_when_the_benchmarks_differ(monkeypatch, capsys, parent, edit, named):
+    ab = load_ab_pairs()
+
+    def run_once(*args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    edit(parent)
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "the benchmark differs between the checkouts" in err
+    for name in named or ["perfbench/run.py", "perfbench/reference.json"]:
+        assert name in err
+
+
+def test_benchmark_outputs_are_not_compared(monkeypatch, capsys, parent):
+    ab = load_ab_pairs()
+    monkeypatch.setattr(ab, "run_once", stub_run_once(ab, {}))
+    (parent / "perfbench" / "out").mkdir()
+    (parent / "perfbench" / "out" / "last.json").write_text("{}")
+    (parent / "perfbench" / "__pycache__").mkdir()
+    (parent / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
+    assert ab.benchmark_differences(parent) == []
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == 0

@@ -17,7 +17,8 @@ from qcbound.bounds import (
     thm_integral,
 )
 from qcbound.errors import DomainError
-from qcbound.padics import kappa, kappa_bounds
+from qcbound import padics
+from qcbound.padics import Prime, kappa, kappa_bounds
 
 
 class TestStrictSemantics:
@@ -134,6 +135,20 @@ class TestPerDisk:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             per_disk_bound(-1, 2, 5)
+
+    def test_kappa_computed_once_per_prime(self, monkeypatch):
+        calls = []
+        real = padics.kappa_bounds
+        monkeypatch.setattr(padics, "kappa_bounds", lambda p: calls.append(int(p)) or real(p))
+        kappa.cache_clear()
+        try:
+            bounds = [per_disk_bound(n_b, 3, 7) for n_b in range(6)] + [per_disk_bound(2, 3, Prime(7))]
+            assert calls == [7]
+            assert bounds == [strict_integer_bound(real(7)[1] * (n_b + 3)) for n_b in (*range(6), 2)]
+            per_disk_bound(1, 2, 5)
+            assert calls == [7, 5]
+        finally:
+            kappa.cache_clear()
 
 
 class TestRounding:

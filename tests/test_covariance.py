@@ -1,5 +1,5 @@
-"""Translation covariance of the per-disk results, an oracle independent of
-the recorded reference.
+"""Translation and sheet-swap covariance of the per-disk results, oracles
+independent of the recorded reference.
 
 Under x = X + s with s in Z, the model y^2 = f(x) becomes y^2 = f_s(X) with
 f_s(X) = f(X + s): monic, integral and of good reduction at the same primes.
@@ -14,6 +14,14 @@ move with the model.
 
 Specs: the eta-free (odd, order-2-shape) genus1_batch specs of generator
 seed 3 with s in {1, -2, p}, and genus2_even_p7 seed 3 with s = 1.
+
+Under the involution y -> -y, omega_j pulls back to -omega_j, so the spec
+(a, v, h, eta) becomes (a, -v, h o iota, iota^* eta) on the same model, and
+the disk (x_bar, y_bar) becomes (x_bar, -y_bar).  A non-Weierstrass disk is
+then compared with its conjugate, whose chart is built on its own: the
+niceness witnesses must agree too.  The two infinite disks of an even model
+are bounded jointly, so they keep their labels.  Every seed-3 spec of both
+workloads is swapped, eta specs included.
 """
 
 from fractions import Fraction
@@ -98,3 +106,44 @@ def test_translation_covariance(original_runs, case, s):
 def test_pair_count():
     # six odd genus1_batch specs at three shifts, one genus-2 spec at one
     assert len(PAIRS) == 19
+
+
+def swapped_spec(spec):
+    """The spec pulled back through y -> -y."""
+    assert not spec.constants
+    return ColemanSpec(curve=spec.curve, p=spec.p, a_matrix=[list(row) for row in spec.a_matrix],
+                       a_vector=[-c for c in spec.a_vector], h=spec.h.involution(),
+                       eta=spec.eta.involution() if spec.eta is not None else None, T=spec.T)
+
+
+def swapped_key(disk, p):
+    """The disk's name after y -> -y."""
+    if disk.kind == "infinite":
+        return disk.label
+    return (disk.kind, disk.x_bar, -disk.y_bar % p)
+
+
+def compared_with_witnesses(ana):
+    nice = ana.nice
+    return {**compared(ana),
+            "witnesses": None if nice is None else (nice.integrality_witness, nice.unit_witness)}
+
+
+SWAP_CASES = [case for workload in ("genus1_batch", "genus2_even_p7")
+              for case in workload_cases(workload, SEED)]
+
+
+@pytest.mark.parametrize("case", SWAP_CASES, ids=[c.spec_id for c in SWAP_CASES])
+def test_sheet_swap_covariance(original_runs, case):
+    spec = case.spec
+    p = int(spec.p)
+    if case.spec_id not in original_runs:
+        original_runs[case.spec_id] = run_pipeline(spec)
+    original = original_runs[case.spec_id]
+    swapped = run_pipeline(swapped_spec(spec))
+    before = {swapped_key(a.disk, p): compared_with_witnesses(a) for a in original.analyses}
+    after = {disk_key(a.disk, 0, p): compared_with_witnesses(a) for a in swapped.analyses}
+    assert before.keys() == after.keys()
+    for key in before:
+        assert after[key] == before[key], key
+    assert swapped.total_bound == original.total_bound

@@ -680,7 +680,7 @@ class TestLocalOperator:
         nonweierstrass = [d for d in disks if d.kind == "affine_nonweierstrass"]
         assert nonweierstrass
         for disk in nonweierstrass:
-            chart = chart_for(spec.curve, disk, spec.p, spec.T, plan.units)
+            chart = chart_for(spec.curve, disk, spec.p, spec.T)
             D = plan.operators[disk.kind].operator()[0]
             L = local_operator(D, chart)
             assert L.order == D.order

@@ -258,6 +258,44 @@ class TestAgainstGcdReference:
         assert_same(F.d_dy(), R.d_dy())
         assert_same(F.d_dx().d_dx(), R.d_dx().d_dx())
 
+    @settings(max_examples=30, deadline=None)
+    @given(function_pairs(count=1),
+           st.lists(st.sampled_from(["d_dx", "d_by_omega0", "d_dy"]), min_size=2, max_size=4))
+    def test_repeated_derivations_with_E(self, data, names):
+        _, [(F, R)] = data
+        assume(F.E.degree > 0)
+        for name in names:
+            F, R = getattr(F, name)(), getattr(R, name)()
+            assert_same(F, R)
+
+    @pytest.mark.parametrize("name", ["d_dx", "d_by_omega0", "d_dy"])
+    def test_repeated_derivatives_grow_E_linearly(self, name):
+        # E = (x - 4)^2 (x^2 + 3) (x + 2)^2 is coprime to f, and its radical
+        # has degree 4: each derivation multiplies E by its radical, and d/dy
+        # also brings f', so after the first step E grows by a fixed degree
+        C = CurveModel("even", Poly([0, -1, 0, 1]) * Poly([2, 0, 0, 1]))
+        E = Poly([-4, 1]) * Poly([-4, 1]) * Poly([3, 0, 1]) * Poly([2, 1])
+        F = CurveFunction(C, RationalFunc(Poly([1, 2]), E), RationalFunc(Poly([0, 0, 3]), Poly([2, 1])))
+        R = reference_of(F)
+        degrees = [F.E.degree]
+        for _ in range(6):
+            F, R = getattr(F, name)(), getattr(R, name)()
+            assert_same(F, R)
+            degrees.append(F.E.degree)
+        fp_degree = C.f.degree - 1
+        step = 4 + 2 * fp_degree if name == "d_dy" else 4
+        assert degrees[0] == 6
+        assert [b - a for a, b in zip(degrees[1:], degrees[2:])] == [step] * 5
+
+    def test_dy_powers_carry_odd_powers_of_fprime(self):
+        # (d/dy)^n x^4 lies over f'^(2n - 1), not over f'^(2^n - 1)
+        C = CurveModel("even", Poly([0, -1, 0, 1]) * Poly([2, 0, 0, 1]))
+        fp = C.f.derivative().monic()
+        F = CurveFunction(C, Poly.x_power(4))
+        for n in range(1, 10):
+            F = F.d_dy()
+            assert F.E == funcfield._f_power(fp, 2 * n - 1)
+
     @ARITH
     @given(function_pairs())
     def test_inverse(self, data):

@@ -15,10 +15,10 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcbound.errors import DomainError, PrecisionError
+from qcbound.errors import DomainError, NonUnitError, PrecisionError
 from qcbound.funcfield import (
     CurveFunction,
     RationalFunc,
@@ -79,6 +79,17 @@ def reference_inverse(coeffs):
     return out
 
 
+def reference_sqrt_unit(coeffs):
+    """The Fraction loop: 2 u_n = s_n - sum_(k=1..n-1) u_k u_(n-k)."""
+    out = [coeffs[0]]
+    for n in range(1, len(coeffs)):
+        acc = coeffs[n]
+        for k in range(1, n):
+            acc = acc - out[k] * out[n - k]
+        out.append(acc / 2)
+    return out
+
+
 def reference_laurent_add(a, b):
     """(order, coefficients) of a + b by the per-coefficient loop."""
     o = min(a.order, b.order)
@@ -132,6 +143,13 @@ def quadratic_pairs(draw):
     d = draw(st.sampled_from(FIELDS))
     coeffs = st.lists(quadratic_coefficients(d), max_size=10)
     return draw(coeffs), draw(coeffs)
+
+
+@st.composite
+def constant_factor_cases(draw):
+    """(b, c): a coefficient list and a constant, ints mixed with one field."""
+    coefficients = st.one_of(st.integers(-9, 9), quadratic_coefficients(draw(st.sampled_from(FIELDS))))
+    return draw(st.lists(coefficients, max_size=10)), draw(coefficients)
 
 
 @st.composite
@@ -202,13 +220,14 @@ class TestSeriesProduct:
         assert normal_form(got)
 
     @KERNEL
-    @given(st.data(), st.sampled_from(FIELDS), st.integers(0, 10), st.booleans())
-    def test_constant_factor_matches_reference(self, data, d, length, first):
-        # a factor with no nonzero coefficient past index 0 scales the other;
-        # an int coefficient is read as a Fraction
-        coefficients = st.one_of(st.integers(-9, 9), quadratic_coefficients(d))
-        b = data.draw(st.lists(coefficients, max_size=10))
-        c = data.draw(coefficients)
+    @given(constant_factor_cases(), st.integers(0, 10), st.booleans())
+    @example(([3, Fraction(1, 2), 0, QuadExt(1, 2, Fraction(6))], 1), 6, True)
+    @example(([Fraction(-4), 7, QuadExt(0, 1, Fraction(2))], Fraction(1)), 1, False)
+    def test_constant_factor_matches_reference(self, case, length, first):
+        # a factor with no nonzero coefficient past index 0 scales the other,
+        # and a factor exactly 1 copies it; an int coefficient is read as a
+        # Fraction either way
+        b, c = case
         const = [c] + [Fraction(0)] * length
         x, y = (const, b) if first else (b, const)
         got = (TruncatedSeries(x) * TruncatedSeries(y)).coeffs
@@ -294,6 +313,28 @@ class TestSeriesInverse:
     def test_times_inverse_is_one(self, coeffs):
         s = TruncatedSeries(coeffs)
         assert s * s.inverse() == TruncatedSeries.one(len(coeffs))
+
+
+# f(x0 + t)/f(x0) past its constant term, for y^2 = x^5 - 2x + 3 at x0 = 4, as on a chart
+_SHIFTED = Poly([3, -2, 0, 0, 0, 1]).compose_shift(Fraction(4)).coeffs
+CHART_UNIT_TAIL = [c / _SHIFTED[0] for c in _SHIFTED[1:]] + [Fraction(0)] * 24
+
+
+class TestSqrtUnit:
+    @KERNEL
+    @given(st.lists(st.one_of(small_rationals, rationals), max_size=24))
+    @example(CHART_UNIT_TAIL)
+    def test_matches_reference_loop(self, tail):
+        coeffs = [Fraction(1), *tail]
+        got = TruncatedSeries(coeffs).sqrt_unit()
+        expected = reference_sqrt_unit(coeffs)
+        assert list(got.coeffs) == expected
+        assert kinds(got.coeffs) == kinds(expected)
+        assert got * got == TruncatedSeries(coeffs)
+
+    def test_constant_term_must_be_one(self):
+        with pytest.raises(NonUnitError):
+            TruncatedSeries([Fraction(4), Fraction(1)]).sqrt_unit()
 
 
 # -- function evaluation on disk charts -------------------------------------------

@@ -23,7 +23,6 @@ from qcbound.pipeline import (
     uses_order2_shape,
 )
 from qcbound.polys import Poly
-from qcbound.series import TruncatedSeries
 
 
 def elliptic_spec(f_coeffs, a=Fraction(2), b=Fraction(3), p=5, T=20):
@@ -79,6 +78,15 @@ class TestShapes:
         assert uses_order2_shape(spec)
         spec.a_matrix[1][0] = Fraction(1)
         assert not uses_order2_shape(spec)
+
+    @pytest.mark.parametrize("kind, f", [("odd", [1, 1, 0, 1]), ("even", [2, 1, 0, 0, 1])])
+    def test_order2_operator_in_d_dx(self, kind, f):
+        # (d/omega_0)^2 = y d/dx (y d/dx) = f (d/dx)^2 + (f'/2) d/dx
+        C = CurveModel(kind, f)
+        D = pipeline._order2_operator(C)
+        assert D.base == "dx"
+        half_fprime = C.f.derivative() * Poly([Fraction(1, 2)])
+        assert D.coeffs == (CurveFunction.const(C, 0), CurveFunction(C, half_fprime), CurveFunction(C, C.f))
 
     def test_order2_candidate_is_x_plus_a(self):
         spec = elliptic_spec([1, 1, 0, 1], a=Fraction(2), b=Fraction(3))
@@ -395,8 +403,8 @@ class TestSpecPlan:
         ids=["odd_p5", "even_eta_p7", "even_eta_p7_one_sided_constants"],
     )
     def test_shared_pairs_match_standalone_disks(self, monkeypatch, make_spec):
-        # each spec has three conjugate quadratic pairs; a pair builds its
-        # local operator once
+        # each spec has three conjugate quadratic pairs, which share nothing:
+        # every disk with a candidate builds its own local operator
         spec = make_spec()
         operators = Counter()
         local_operator = pipeline.local_operator
@@ -408,7 +416,8 @@ class TestSpecPlan:
         monkeypatch.setattr(pipeline, "local_operator", counted_local_operator)
         result = run_pipeline(spec)
         affine = [a for a in result.analyses if a.disk.kind != "infinite"]
-        assert sum(operators.values()) == len(affine) - 3
+        with_candidate = [str(a.disk) for a in affine if a.dg_candidate is not None]
+        assert with_candidate and operators == Counter(with_candidate)
         in_run, standalone = affine_json_in_run_and_standalone(spec, result)
         assert in_run == standalone
 
@@ -445,18 +454,6 @@ class TestSpecPlan:
         expected = {("affine_weierstrass", name): n_w for name in series_route
                     if annihilator and name != "certify_algebraic"}
         assert calls == expected
-
-    @pytest.mark.parametrize("make_spec", [lambda: elliptic_spec([1, 1, 0, 1]), even_quartic_eta_spec],
-                             ids=["odd_p5", "even_eta_p7"])
-    def test_chart_unit_series_built_once_per_pair(self, monkeypatch, make_spec):
-        # the two disks above one x_bar share sqrt(f(x0 + t)/f(x0)); the
-        # in-run and standalone JSON agree (test_shared_pairs_match_standalone_disks)
-        roots = []
-        sqrt_unit = TruncatedSeries.sqrt_unit
-        monkeypatch.setattr(TruncatedSeries, "sqrt_unit", lambda s: roots.append(s) or sqrt_unit(s))
-        result = run_pipeline(make_spec())
-        nw = [a.disk for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
-        assert len(roots) == len({d.x_bar for d in nw}) == len(nw) // 2
 
     @pytest.mark.parametrize("name, make_spec", [
         ("nonweierstrass_candidate", even_quartic_eta_spec),

@@ -21,6 +21,11 @@ change's median is worse than the parent's by more than the metric's
 relative bound.  Exits 1 when any run fails its correctness gate, when the
 change's failed share is above the parent's or when a metric is worse than
 its bound, 0 otherwise.
+
+The two sides compare programs only when they run the same benchmark: when
+BENCHMARK.json or any file under perfbench/ (perfbench/out/ and bytecode
+caches aside) differs between PARENT_DIR and this checkout, it names the
+files and exits 2 before any run.
 """
 
 import argparse
@@ -48,6 +53,22 @@ def run_once(checkout, args, seconds):
     return json.loads(lines[-1])
 
 
+def _benchmark_files(checkout):
+    """{relative path: bytes} of BENCHMARK.json and perfbench/, outputs aside."""
+    files = {}
+    for path in [checkout / "BENCHMARK.json", *sorted((checkout / "perfbench").rglob("*"))]:
+        rel = path.relative_to(checkout)
+        if path.is_file() and rel.parts[:2] != ("perfbench", "out") and "__pycache__" not in rel.parts:
+            files[rel.as_posix()] = path.read_bytes()
+    return files
+
+
+def benchmark_differences(parent):
+    """Paths of the benchmark files that differ between ``parent`` and this checkout."""
+    ours, theirs = _benchmark_files(ROOT), _benchmark_files(parent)
+    return sorted(name for name in ours.keys() | theirs.keys() if ours.get(name) != theirs.get(name))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path, help="checkout of the parent commit")
@@ -56,6 +77,10 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
+    differences = benchmark_differences(sides["parent"])
+    if differences:
+        print("the benchmark differs between the checkouts: " + ", ".join(differences), file=sys.stderr)
+        return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
