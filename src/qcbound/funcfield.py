@@ -428,7 +428,7 @@ class CurveFunction:
         if weierstrass and value_mod(self.model.f, x_bar, p):
             raise DomainError(f"not a point of the curve: y = 0 but f({x_bar}) != 0 mod {p}")
         if self.E.degree > 0:
-            E0 = Poly(primitive_int(self.E)[1])
+            E0 = primitive_denominator(self)
             if not value_mod(E0, x_bar, p):
                 raise DomainError(f"pole on this disk: {E0!r} vanishes at x = {x_bar} mod {p}")
         if not self:
@@ -506,6 +506,16 @@ def weierstrass_order(F):
     if F.B:
         orders.append(2 * _f_multiplicity(F.B, f) + 1)
     return min(orders) - 2 * F.k
+
+
+def primitive_denominator(F):
+    """F's E as a primitive polynomial E0 in Z[x], the pole test off W.
+
+    E0 reduces to a nonzero polynomial mod p, and it has as many roots in the
+    x-disk of x_bar as its reduction has at x_bar.  So E0 vanishes at x_bar
+    mod p exactly when E has a root in that x-disk, where F may have a pole.
+    """
+    return Poly(primitive_int(F.E)[1])
 
 
 def finite_nonweierstrass_pole_degree(F):

@@ -14,8 +14,9 @@ Operator selection mirrors the constructions the bounds are proved with:
   candidate.
 * the infinite disks of an even model are handled jointly by the ledger
   degree of the flipped-model analysis (expanding G there would need the
-  transformed constants, which require global reduction machinery); odd
-  models exclude infinity (integral-point semantics).
+  transformed constants, which require global reduction machinery): inf+
+  carries the joint bound, and inf- reports N_b 0 and bound 0, counted
+  jointly with it.  Odd models exclude infinity (integral-point semantics).
 
 All three operators come from ``diffops.compose_with_base``: the order-2 one
 (y d/dx composed with d/omega_0) and the non-Weierstrass one from algebraic
@@ -39,16 +40,19 @@ whether the plan has a candidate, not by the kind of disk:
   against the integrality floor of the inputs or, when T exceeds it, by the
   proof's output-ledger degree; else N_b is that degree.
 
-``run_pipeline`` plans each spec once (``SpecPlan``) before its disk loop:
-the input floor, the operator of each affine disk kind, the candidate image
-and the candidate's polar degree depend on the spec only.  A DomainError or
-PrecisionError raised while planning is kept and reported on each disk that
-needs the entry, at the step where that disk would have raised it.  The plan
-holds spec-level data only: no two disks share a chart, a series or a local
-operator, so a disk analysed alone reports what it reports in a run.
+``run_pipeline`` plans each spec once (``SpecPlan``) and sends every disk,
+both infinite ones included, through ``analyze_disk``.  The input floor, the
+operator of each affine disk kind, the candidate image and the candidate's
+polar degree depend on the spec only.  A DomainError or PrecisionError raised
+while planning a disk kind is kept in place of its entry, and each disk of
+that kind raises it again right after its chart is built, so it is reported
+on the disk.  The plan holds spec-level data only: no two disks share a
+chart, a series or a local operator, so a disk analysed alone reports what
+it reports in a run.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import ledger_degrees, per_disk_bound, strict_integer_bound
 from .coleman import (
@@ -71,11 +75,12 @@ from .funcfield import (
     chart_for,
     finite_nonweierstrass_pole_degree,
     infinity_pole_order,
+    primitive_denominator,
     weierstrass_order,
 )
 from .hyperelliptic import residue_disks, value_mod
 from .padics import INFINITY, kappa, valuation
-from .polys import Poly, primitive_int
+from .polys import Poly
 from .series import lowest_valuation
 
 
@@ -206,71 +211,50 @@ def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
     return degree_bound, "ledger degree"
 
 
-def _operator_for_affine(spec, kind):
-    """(operator object or None, description, order, candidate or None) for an
-    affine disk kind."""
+class _Planned(NamedTuple):
+    """The plan of one affine disk kind.  ``D`` is None for the Weierstrass
+    annihilator (built on each chart, no candidate), whose ``degree`` is the
+    proof's output-ledger degree; else ``degree`` is the candidate's polar
+    degree, None when the candidate is zero."""
+
+    D: object
+    description: str
+    order: int
+    candidate: object
+    degree: int
+
+
+def _plan_affine(spec, kind):
+    """The ``_Planned`` entry of an affine disk kind, or the DomainError or
+    PrecisionError that planning it raised.
+
+    The reduced views of the candidate and of D's coefficients, which the disk
+    expansions and the report read, are built here too, so that no planning
+    work falls into a disk's time.
+    """
     C = spec.curve
-    if uses_order2_shape(spec):
-        return _order2_operator(C), "(d/omega_0)^2", 2, order2_candidate(spec)
-    q = C.basis_size
-    if kind == "affine_nonweierstrass":
-        return (_nonweierstrass_operator(C), f"(d/dx)^{q} (d/omega_0)", q + 1,
-                nonweierstrass_candidate(spec))
-    return None, "weierstrass divided-power annihilator (d/omega_0)", 2 * q, None
-
-
-def _attempt(build, *args):
-    """build(*args), or the DomainError or PrecisionError it raised."""
     try:
-        return build(*args)
+        if uses_order2_shape(spec):
+            D, description, candidate = _order2_operator(C), "(d/omega_0)^2", order2_candidate(spec)
+        elif kind == "affine_nonweierstrass":
+            D, description = _nonweierstrass_operator(C), f"(d/dx)^{C.basis_size} (d/omega_0)"
+            candidate = nonweierstrass_candidate(spec)
+        else:
+            case = "hyper_W" if C.kind == "even" else "integral_W"
+            return _Planned(None, "weierstrass divided-power annihilator (d/omega_0)", 2 * C.basis_size,
+                            None, ledger_degrees(C.genus)[case])
+        for F in (*D.coeffs, candidate):
+            F.view()
+        return _Planned(D, description, D.order, candidate, polar_degree(candidate) if candidate else None)
     except (DomainError, PrecisionError) as exc:
         return exc
 
 
-def _unwrap(outcome):
-    """The value kept by ``_attempt``; a kept error is raised again."""
-    if isinstance(outcome, (DomainError, PrecisionError)):
-        raise outcome.with_traceback(None)
-    return outcome
-
-
-class _OperatorPlan:
-    """The operator of one affine disk kind, its candidate and polar degree.
-
-    The reduced views of the candidate and of the operator's algebraic
-    coefficients, which the disk expansions and the report read, are built
-    here too, so that no planning work falls into a disk's time.
-    """
-
-    def __init__(self, spec, kind):
-        self._operator = _attempt(_operator_for_affine, spec, kind)
-        self._degree = None
-        if not isinstance(self._operator, Exception):
-            D, _, _, candidate = self._operator
-            for F in (*(D.coeffs if D is not None else ()), candidate):
-                if isinstance(F, CurveFunction):
-                    F.view()
-            if D is None:
-                case = "hyper_W" if spec.curve.kind == "even" else "integral_W"
-                self._degree = ledger_degrees(spec.curve.genus)[case]
-            elif candidate:
-                self._degree = _attempt(polar_degree, candidate)
-
-    def operator(self):
-        """(D or None, description, order, candidate or None)."""
-        return _unwrap(self._operator)
-
-    def degree(self):
-        """Polar degree of the (nonzero) candidate; for the Weierstrass
-        annihilator, the proof's output-ledger degree."""
-        return _unwrap(self._degree)
-
-
 class SpecPlan:
     """Spec-level data, built once per run: the input floor, ``eta_den`` and
-    one ``_OperatorPlan`` per affine disk kind among ``disks`` (a single one
-    for every affine disk on the order-2 shape).  Nothing in it depends on a
-    disk.  Planning first runs ``ColemanSpec.check_constants``, so a
+    one ``_plan_affine`` entry per affine disk kind among ``disks`` (a single
+    one for every affine disk on the order-2 shape).  Nothing in it depends
+    on a disk.  Planning first runs ``ColemanSpec.check_constants``, so a
     constants key added after the spec was built fails the run with
     DomainError before any disk is analysed.
     """
@@ -279,14 +263,12 @@ class SpecPlan:
         spec.check_constants()
         self.spec = spec
         self.floor = spec_input_floor(spec)
-        # eta's E as a primitive integer polynomial: it vanishes at x_bar mod p
-        # exactly when E has a root in the x-disk of x_bar, a pole of eta there
-        self.eta_den = Poly(primitive_int(spec.eta.E)[1]) if spec.eta else Poly([1])
+        self.eta_den = primitive_denominator(spec.eta) if spec.eta else Poly([1])
         kinds = sorted({d.kind for d in disks} - {"infinite"})
         if uses_order2_shape(spec) and kinds:
-            self.operators = dict.fromkeys(kinds, _OperatorPlan(spec, kinds[0]))
+            self.operators = dict.fromkeys(kinds, _plan_affine(spec, kinds[0]))
         else:
-            self.operators = {kind: _OperatorPlan(spec, kind) for kind in kinds}
+            self.operators = {kind: _plan_affine(spec, kind) for kind in kinds}
 
 
 def analyze_disk(spec, disk):
@@ -294,10 +276,14 @@ def analyze_disk(spec, disk):
     not raised.
 
     ``spec`` is a ColemanSpec, or the SpecPlan of a run that covers ``disk``.
-    Planning a ColemanSpec raises DomainError for a constants key that names
-    no residue disk.
+    Given a ColemanSpec, a disk that is not a residue disk of the curve mod p,
+    or a constants key that names none, raises DomainError.
     """
-    plan = spec if isinstance(spec, SpecPlan) else SpecPlan(spec, [disk])
+    plan = spec
+    if not isinstance(plan, SpecPlan):
+        if disk not in residue_disks(spec.curve, spec.p):
+            raise DomainError(f"{disk} is not a residue disk of this curve mod {int(spec.p)}")
+        plan = SpecPlan(spec, [disk])
     spec = plan.spec
     C = spec.curve
     p = spec.p
@@ -312,8 +298,9 @@ def analyze_disk(spec, disk):
         ana.parameter = chart.description
         ana.lift = str(chart.center)
         planned = plan.operators[disk.kind]
-        D, desc, order, candidate = planned.operator()
-        ana.operator, ana.order = desc, order
+        if isinstance(planned, Exception):
+            raise planned.with_traceback(None)
+        D, ana.operator, ana.order, candidate, degree = planned
         if D is None:   # Weierstrass annihilator, already in t: no candidate, N_b from D(G)'s series
             G = expand_G(spec, chart)
             L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
@@ -329,7 +316,6 @@ def analyze_disk(spec, disk):
             raise PrecisionError(f"series precision {chart.T} below operator order {L.order}",
                                  needed=L.order + 1)
         ana.dg_candidate = candidate
-        degree = planned.degree()
         if D is None:
             ana.n_b, ana.n_b_method = algebraic_zero_count(apply_series(L, G), p, plan.floor, degree,
                                                            val=chart.valuation_of)
@@ -361,9 +347,13 @@ def _analyze_infinite(spec, disk, ana):
         ana.n_b_method = "excluded disk"
         return ana
     q = 2 * g + 1
-    degree = ledger_degrees(g)["hyper_nonW"]      # read on the flipped model
     ana.operator = f"(d/dx)^{q} (d/omega_0) on the flipped model"
     ana.order = q + 1
+    if disk.label == "inf-":
+        ana.n_b, ana.bound = 0, 0
+        ana.n_b_method = "counted jointly with the other infinite disk"
+        return ana
+    degree = ledger_degrees(g)["hyper_nonW"]      # read on the flipped model
     ana.n_b = degree
     ana.n_b_method = "ledger degree, flipped model, both infinite disks jointly"
     ana.bound = max(0, strict_integer_bound(kappa(spec.p) * (degree + 2 * (q + 1))))
@@ -375,25 +365,7 @@ def run_pipeline(spec):
     are collected."""
     disks = residue_disks(spec.curve, spec.p)
     plan = SpecPlan(spec, disks)
-    analyses = []
-    infinite_done = False
-    for disk in disks:
-        if disk.kind == "infinite" and spec.curve.kind == "even":
-            if infinite_done:
-                ref = next(a for a in analyses if a.disk.kind == "infinite")
-                twin = DiskAnalysis(
-                    disk=disk,
-                    parameter=ref.parameter,
-                    operator=ref.operator,
-                    order=ref.order,
-                    n_b=0,
-                    n_b_method="counted jointly with the other infinite disk",
-                    bound=0,
-                )
-                analyses.append(twin)
-                continue
-            infinite_done = True
-        analyses.append(analyze_disk(plan, disk))
+    analyses = [analyze_disk(plan, disk) for disk in disks]
     total = None
     if all(a.ok and a.bound is not None for a in analyses):
         total = sum(a.bound for a in analyses)

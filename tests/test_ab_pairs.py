@@ -1,6 +1,7 @@
 """tools/ab_pairs.py on stubbed benchmark runs: failed and attempted totals,
-the bounds of BENCHMARK.json, the environment of each run, and the refusal of
-two checkouts whose benchmarks differ."""
+the bounds of BENCHMARK.json, metrics the parent's spread leaves unresolved,
+the environment of each run, and the refusal of two checkouts whose
+benchmarks differ."""
 
 import importlib.util
 import json
@@ -77,6 +78,33 @@ def test_exit_1_when_a_median_is_worse_than_its_bound(monkeypatch, capsys, paren
     row = next(line for line in captured.out.splitlines() if line.startswith(name))
     assert row.endswith("WORSE than 25%" if name == "setup_s" else "WORSE than 5%") == bool(code)
     assert (f"worse than the bound: {name}" in captured.err) == bool(code)
+
+
+@pytest.mark.parametrize("parent_runs, change_runs, verdict, code", [
+    # parent quartiles 0.7-1.3 around a median of 1: a 60% spread against 25%
+    ([0.6, 1.0, 1.0, 1.4], [1.0] * 4, "unresolved (parent spread 60%)", 0),
+    ([0.6, 1.0, 1.0, 1.4], [0.9, 1.1, 1.2, 0.8], "unresolved (parent spread 60%)", 0),
+    ([0.6, 1.0, 1.0, 1.4], [0.5] * 4, "within 25%", 0),           # every change run beats every parent run
+    ([0.6, 1.0, 1.0, 1.4], [1.3] * 4, "WORSE than 25%", 1),
+    ([0.98, 1.0, 1.0, 1.02], [1.1] * 4, "within 25%", 0),         # a tight parent resolves the bound
+])
+def test_unresolved_when_the_parent_spreads_past_the_bound(monkeypatch, capsys, parent,
+                                                           parent_runs, change_runs, verdict, code):
+    ab = load_ab_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = {"parent": iter(parent_runs), "change": iter(change_runs)}
+
+    def run_once(checkout, args, seconds):
+        values = {name: 1.0 for name in names}
+        values["setup_s"] = next(runs["change" if checkout == ab.ROOT else "parent"])
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "4"]) == code
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert rows["setup_s"].endswith(verdict)
+    assert rows["pipeline_s"].endswith("within 25%")
 
 
 def test_runs_start_with_no_bytecode_cache(monkeypatch, tmp_path):

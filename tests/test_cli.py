@@ -233,6 +233,15 @@ class TestAnalyzeDisk:
         assert "certified: True" in out
         assert "N_b" in out
 
+    def test_second_infinite_disk_counted_jointly(self, tmp_path, capsys):
+        # alone as in a run, inf- reports 0: inf+ carries the joint bound
+        data = {"curve": {"kind": "even", "genus": 1, "f": ["2", "1", "0", "0", "1"]}, "p": 7, "T": 16,
+                "a_matrix": [["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]], "a_vector": ["0", "0", "0"]}
+        spec = write_spec(tmp_path, data)
+        assert main(["analyze-disk", "--spec", spec, "--p", "7", "--disk", "inf-"]) == 0
+        out = capsys.readouterr().out
+        assert "N_b = 0 (counted jointly with the other infinite disk); per-disk bound 0" in out
+
     def test_invalid_disk(self, tmp_path, capsys):
         curve = write_curve(tmp_path, "odd 1 1 1 0 1")
         assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "1,1"]) == 2

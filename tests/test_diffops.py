@@ -681,7 +681,7 @@ class TestLocalOperator:
         assert nonweierstrass
         for disk in nonweierstrass:
             chart = chart_for(spec.curve, disk, spec.p, spec.T)
-            D = plan.operators[disk.kind].operator()[0]
+            D = plan.operators[disk.kind].D
             L = local_operator(D, chart)
             assert L.order == D.order
             known = [G.truncation for G in L.coeffs]

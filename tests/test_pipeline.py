@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -62,13 +63,12 @@ def even_quartic_eta_spec(constants=None):
     )
 
 
-def affine_json_in_run_and_standalone(spec, result):
-    """The affine disks' JSON entries from a run, and from standalone
-    analyze_disk(spec, disk) calls on the same disks."""
-    affine = [a.disk for a in result.analyses if a.disk.kind != "infinite"]
-    in_run = [d for d in result_to_json(result)["disks"] if d["kind"] != "infinite"]
-    standalone = [result_to_json(PipelineResult([analyze_disk(spec, disk)]))["disks"][0]
-                  for disk in affine]
+def json_in_run_and_standalone(spec, result):
+    """Every disk's JSON entry from a run, infinite disks included, and from
+    standalone analyze_disk(spec, disk) calls on the same disks."""
+    in_run = result_to_json(result)["disks"]
+    standalone = [result_to_json(PipelineResult([analyze_disk(spec, a.disk)]))["disks"][0]
+                  for a in result.analyses]
     return in_run, standalone
 
 
@@ -418,7 +418,7 @@ class TestSpecPlan:
         affine = [a for a in result.analyses if a.disk.kind != "infinite"]
         with_candidate = [str(a.disk) for a in affine if a.dg_candidate is not None]
         assert with_candidate and operators == Counter(with_candidate)
-        in_run, standalone = affine_json_in_run_and_standalone(spec, result)
+        in_run, standalone = json_in_run_and_standalone(spec, result)
         assert in_run == standalone
 
     @pytest.mark.parametrize(
@@ -470,8 +470,27 @@ class TestSpecPlan:
         nw = [a for a in result.analyses if a.disk.kind == "affine_nonweierstrass"]
         assert nw and all(a.error == "insufficient precision: planned entry needs more terms"
                           and a.needed_T == 99 for a in nw)
-        in_run, standalone = affine_json_in_run_and_standalone(spec, result)
+        in_run, standalone = json_in_run_and_standalone(spec, result)
         assert in_run == standalone
+
+    @pytest.mark.parametrize("workload", ["genus2_even_p7", "genus1_batch"])
+    def test_every_disk_alone_matches_the_run(self, workload):
+        # both infinite disks of an even model included: inf- reports the
+        # joint count 0 alone as in a run
+        for case in workload_cases(workload, 3):
+            result = run_pipeline(case.spec)
+            in_run, standalone = json_in_run_and_standalone(case.spec, result)
+            assert in_run == standalone, case.spec_id
+
+    @pytest.mark.parametrize("disk", [
+        DiskDescriptor("affine_nonweierstrass", 0, 6),    # y_bar out of range: (0,1) mod 5
+        DiskDescriptor("affine_weierstrass", 1, 0),       # f(1) = 3 != 0 mod 5
+        DiskDescriptor("affine_nonweierstrass", 0, 2),    # 2^2 != f(0) = 1 mod 5
+    ], ids=str)
+    def test_a_disk_off_the_curve_is_refused(self, disk):
+        spec = elliptic_spec([1, 1, 0, 1], a=Fraction(1), b=Fraction(3))
+        with pytest.raises(DomainError, match=re.escape(f"{disk} is not a residue disk of this curve mod 5")):
+            analyze_disk(spec, disk)
 
 
 class TestBenchmarkProbeTargets:
@@ -489,8 +508,7 @@ class TestBenchmarkProbeTargets:
         monkeypatch.setattr(pipeline, "analyze_disk", pipeline.analyze_disk)   # restored afterwards
         timer = perfbench_module("probes").DiskTimer(pipeline)
         result = run_pipeline(even_quartic_eta_spec())
-        analysed = [str(a.disk) for a in result.analyses if "counted jointly" not in a.n_b_method]
-        assert [sample[1] for sample in timer.samples] == analysed
+        assert [sample[1] for sample in timer.samples] == [str(a.disk) for a in result.analyses]
 
 
 class TestRecordedReference:

@@ -165,11 +165,10 @@ def series_route(plan, disk):
     """(certified, n_b, method) from the series route on one disk."""
     spec = plan.spec
     chart = chart_for(spec.curve, disk, spec.p, spec.T)
-    planned = plan.operators[disk.kind]
-    D, _, _, candidate = planned.operator()
+    D, _, _, candidate, degree = plan.operators[disk.kind]
     DG = apply_series(local_operator(D, chart), expand_G(spec, chart))
     certified = certify_algebraic(DG, candidate, chart)
-    n_b, method = algebraic_zero_count(DG, spec.p, plan.floor, planned.degree(), val=chart.valuation_of)
+    n_b, method = algebraic_zero_count(DG, spec.p, plan.floor, degree, val=chart.valuation_of)
     return certified, n_b, method
 
 
@@ -181,11 +180,9 @@ class TestSeriesRouteOracle:
         nw = [d for d in disks if d.kind == "affine_nonweierstrass"]
         assume(nw)
         plan = SpecPlan(spec, disks)
-        try:
-            candidate = plan.operators["affine_nonweierstrass"].operator()[3]
-        except DomainError:
-            assume(False)
-        assume(candidate)
+        planned = plan.operators["affine_nonweierstrass"]
+        assume(not isinstance(planned, DomainError))     # a planning error kept for the disks
+        assume(planned.candidate)
         poles = [d for d in nw if not value_mod(plan.eta_den, d.x_bar, spec.p)]
         for disk in poles:
             assert analyze_disk(plan, disk).error.startswith("eta has a pole on this disk")
@@ -208,11 +205,9 @@ class TestSeriesRouteOracle:
     def test_weierstrass_reduction_order_matches_the_series_route(self, spec):
         disks = residue_disks(spec.curve, spec.p)
         plan = SpecPlan(spec, disks)
-        try:
-            candidate = plan.operators["affine_weierstrass"].operator()[3]
-        except DomainError:
-            assume(False)
-        assume(candidate)
+        planned = plan.operators["affine_weierstrass"]
+        assume(not isinstance(planned, DomainError))     # a planning error kept for the disks
+        assume(planned.candidate)
         compared = 0
         for disk in disks:
             if disk.kind != "affine_weierstrass":

@@ -18,7 +18,10 @@ each side, the parent's quartiles, the median over pairs of the ratio
 change / parent, and in how many pairs the change was better, and each
 side's failed and attempted operations summed over its runs, and whether the
 change's median is worse than the parent's by more than the metric's
-relative bound.  Exits 1 when any run fails its correctness gate, when the
+relative bound.  A metric that is not worse is "unresolved" when the spread
+of the parent's quartiles exceeds that bound, unless every run of the change
+beat every run of the parent: the runs then cannot tell a change within the
+bound from noise.  Exits 1 when any run fails its correctness gate, when the
 change's failed share is above the parent's or when a metric is worse than
 its bound, 0 otherwise.
 
@@ -111,11 +114,17 @@ def main(argv=None):
         q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else parent * 3
         quartiles = f"{q1:.4g}-{q3:.4g}"
         mp, mc = statistics.median(parent), statistics.median(change)
-        worse = (mc - mp if lower else mp - mc) > m["bound"] * abs(mp)
-        if worse:
+        spread = q3 - q1
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+        if (mc - mp if lower else mp - mc) > m["bound"] * abs(mp):
             beyond_bound.append(name)
+            verdict = f"WORSE than {m['bound']:.0%}"
+        elif spread > m["bound"] * abs(mp) and not beats_all:
+            verdict = f"unresolved (parent spread {spread / abs(mp) if mp else float('inf'):.0%})"
+        else:
+            verdict = f"within {m['bound']:.0%}"
         print(f"{name:<14} {mp:>10.4g} {quartiles:>21} {mc:>10.4g} "
-              f"{ratio:>8}  {better}/{args.pairs}  {'WORSE than' if worse else 'within'} {m['bound']:.0%}")
+              f"{ratio:>8}  {better}/{args.pairs}  {verdict}")
     for side, ops in operations.items():
         print(f"{side}: {ops['failed']}/{ops['attempted']} operations failed")
     share = {side: ops["failed"] / max(ops["attempted"], 1) for side, ops in operations.items()}
