@@ -22,11 +22,17 @@ where A is the m x (m+1) matrix with entries (1/n_j!) D^{n_j} F_i and A^(i)
 deletes column i.  Determinants are evaluated by a division-free expansion
 shared across all minors (a subset dynamic program over columns); over
 truncated series this loses no precision, unlike fraction-free elimination,
-whose exact divisions by positive-order pivots would.  When every F_i is a
-rational series (always so on a Weierstrass chart), row i is written over the
-common denominator of F_i and the same dynamic program runs on integer
-numerators, one ``convolve`` per product and none with a known-zero factor;
-each minor becomes Fractions once, at the end.
+whose exact divisions by positive-order pivots would.
+
+Rational series run on integers.  When every F_i is a rational series
+(always so on a Weierstrass chart), row i is written over the common
+denominator of F_i and the same dynamic program runs on integer numerators,
+one ``convolve`` per product and none with a known-zero factor.  Likewise
+``compose_with_base`` of a series operator whose coefficients and V are all
+rational series writes the coefficients over one common denominator and V
+over its own, and runs the same ``_leibniz`` on the numerators.  Either way
+each output coefficient becomes one Fraction, at the end; curve functions and
+series over Q(sqrt d) keep the generic path.
 """
 
 from dataclasses import dataclass
@@ -96,9 +102,14 @@ class DifferentialOperator:
 def _is_zero_coeff(c):
     if isinstance(c, LaurentSeries):
         c = c.series
-    if isinstance(c, TruncatedSeries):
+    if isinstance(c, (TruncatedSeries, _IntEntry)):
         return c.is_known_zero()
     return not c
+
+
+def _rational_series(s):
+    """True for a TruncatedSeries whose coefficients are all int or Fraction."""
+    return isinstance(s, TruncatedSeries) and all(isinstance(c, (int, Fraction)) for c in s.coeffs)
 
 
 @dataclass
@@ -260,7 +271,7 @@ def _derivation_chain(F, max_order, base):
     chain = [F]
     for _ in range(max_order):
         cur = chain[-1]
-        if isinstance(cur, (TruncatedSeries, LaurentSeries)):
+        if isinstance(cur, (TruncatedSeries, LaurentSeries, _IntEntry)):
             chain.append(cur.derivative())
         elif base == "dx":
             chain.append(cur.d_dx())
@@ -303,13 +314,15 @@ def annihilator_matrix(S, funcs, base="dx"):
 
 
 class _IntEntry:
-    """A rational series matrix entry as integer numerators over its row's
-    common denominator, known to ``n`` coefficients; ``ints`` is None when
-    the entry is known zero.
+    """A rational series as integer numerators over a denominator that the
+    caller keeps (its row's in ``_integer_rows``, the operator's or V's in
+    ``compose_with_base``), known to ``n`` coefficients; ``ints`` is None
+    when the entry is known zero.
 
-    Products and sums keep ``TruncatedSeries``' truncation (the shorter
-    operand) and do no arithmetic on a known zero, so ``_minor_determinants``
-    runs on these entries unchanged, each product one ``convolve``.
+    Products, sums, derivatives and integer scales keep ``TruncatedSeries``'
+    truncations (the shorter operand; one fewer for a derivative) and do no
+    arithmetic on a known zero, so ``_minor_determinants`` and ``_leibniz``
+    run on these entries unchanged, each product one ``convolve``.
     """
 
     __slots__ = ("n", "ints")
@@ -337,11 +350,36 @@ class _IntEntry:
     def __sub__(self, other):
         return self + (-other)
 
+    def is_known_zero(self):
+        return self.ints is None or not any(self.ints)
+
+    def derivative(self):
+        """d/dt of the entry, over the same denominator."""
+        if self.n < 1:
+            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
+        ints = None if self.ints is None else [k * c for k, c in enumerate(self.ints[1:], 1)]
+        return _IntEntry(self.n - 1, ints)
+
+    def scale(self, c):
+        """c * entry for an integer c."""
+        return _IntEntry(self.n, None if self.ints is None else [c * x for x in self.ints])
+
     def series(self, den):
         """The entry as a TruncatedSeries of Fractions over ``den``."""
         if self.ints is None:
             return TruncatedSeries.zero(self.n)
         return TruncatedSeries([Fraction(c, den) for c in self.ints])
+
+
+def _int_entries(series):
+    """(L, entries): rational series as ``_IntEntry`` numerators over their
+    one least common denominator L."""
+    den, ints = common_denominator([c for s in series for c in s.coeffs])
+    entries, start = [], 0
+    for s in series:
+        entries.append(_IntEntry(s.truncation, ints[start:start + s.truncation]))
+        start += s.truncation
+    return den, entries
 
 
 def _integer_rows(S, funcs):
@@ -407,8 +445,7 @@ def build_annihilator(S, funcs, base="dx"):
     truncations.
     """
     S = _index_set(S, funcs)
-    rational = (int, Fraction)
-    if all(isinstance(F, TruncatedSeries) and all(isinstance(c, rational) for c in F.coeffs) for F in funcs):
+    if all(map(_rational_series, funcs)):
         den, rows = _integer_rows(S, funcs)
         minors = [minor.series(den) for minor in _minor_determinants(rows)]
     else:
@@ -496,7 +533,11 @@ def compose_with_base(D1, base, chart=None):
     result's niceness must be re-checked where y is not a unit (Weierstrass
     disks flag this).  For series coefficients, which are already written in
     a disk coordinate t (d/dx there means d/dt), pass the disk's chart:
-    m = V, the expansion of y / (dx/dt).
+    m = V, the expansion of y / (dx/dt).  When V and every g_i are rational
+    series (always so on a Weierstrass chart), the g_i are written over one
+    common denominator and V over its own, ``_leibniz`` runs on their integer
+    numerators, and each output coefficient becomes one Fraction at the end;
+    coefficients, types and truncations are those of the Fraction path.
     """
     if base == D1.base:
         return DifferentialOperator([_zero_like(D1.leading), *D1.coeffs], base=D1.base)
@@ -504,12 +545,17 @@ def compose_with_base(D1, base, chart=None):
         raise DomainError("composition of a d/omega0 operator with d/dx is not supported")
     if D1.is_algebraic():
         model = next(c.model for c in D1.coeffs if isinstance(c, CurveFunction))
-        m = CurveFunction.y(model)
-    elif chart is not None:
-        m = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
-    else:
+        out = _leibniz(D1.coeffs, CurveFunction.y(model))
+    elif chart is None:
         raise DomainError("series coefficients need the chart of their disk")
-    out = _leibniz(D1.coeffs, m)
+    else:
+        V = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
+        if all(map(_rational_series, (V, *D1.coeffs))):
+            den, coeffs = _int_entries(D1.coeffs)
+            den_v, (v,) = _int_entries([V])
+            out = [e if e is None else e.series(den * den_v) for e in _leibniz(coeffs, v)]
+        else:
+            out = _leibniz(D1.coeffs, V)
     # the nonzero leading g_N reaches every slot but the first
     out[0] = _zero_like(D1.leading)
     return DifferentialOperator(out, base="dx")

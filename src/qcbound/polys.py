@@ -6,7 +6,8 @@ trailing zeros; the zero polynomial has an empty coefficient tuple.
 Products go through one exact integer kernel, shared with the series module:
 ``common_denominator`` writes each factor as an integer list over its least
 common denominator, ``convolve`` multiplies the two lists with a single
-Kronecker-substitution integer product, and each output coefficient becomes
+Kronecker-substitution integer product (of half the slots when each list is
+nonzero in one residue class mod 2 only), and each output coefficient becomes
 one ``Fraction``, which is normalised to lowest terms on construction.  The gcd
 runs over primitive integer parts with a subresultant remainder sequence, so
 intermediate coefficients stay integral; resultants go through a fraction-free
@@ -224,10 +225,37 @@ def convolve(a, b, n):
     both lists, plus the bit length of the number of terms summed, plus a
     sign bit), the two integers are multiplied once, and the slots are read
     back lowest first, a negative slot borrowing one from the next.
+
+    Parity split: when the nonzero coefficients of a lie in one residue class
+    ra mod 2 and those of b in one class rb (even-only or odd-only, as for a
+    function of t^2, or t times one), the product lies in the class ra + rb.
+    The strided halves a[ra::2] and b[rb::2] are then multiplied with one
+    Kronecker product of half the slots, written into that class, and every
+    other slot is zero; when ra + rb >= n all n are.
     """
     a, b = a[:n], b[:n]
     if not a or not b:
         return [0] * n
+    ra, rb = _parity(a), _parity(b)
+    if ra is None or rb is None:
+        return _kronecker(a, b, n)
+    r = ra + rb
+    out = [0] * n
+    if r < n:
+        out[r::2] = _kronecker(a[ra::2], b[rb::2], len(range(r, n, 2)))
+    return out
+
+
+def _parity(ints):
+    """0 when the odd slots of ints are zero, 1 when only they are nonzero, else None."""
+    if not any(ints[1::2]):
+        return 0
+    return None if any(ints[0::2]) else 1
+
+
+def _kronecker(a, b, n):
+    """First n coefficients of the product of two nonempty integer lists, by
+    one Kronecker-substitution product."""
     bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     width = (bits + 7) // 8

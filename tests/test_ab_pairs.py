@@ -1,7 +1,7 @@
 """tools/ab_pairs.py on stubbed benchmark runs: failed and attempted totals,
 the bounds of BENCHMARK.json, metrics the parent's spread leaves unresolved,
-the environment of each run, and the refusal of two checkouts whose
-benchmarks differ."""
+the environment of each run, the sibling copies both sides run from, and the
+refusal of two checkouts whose benchmarks differ."""
 
 import importlib.util
 import json
@@ -37,7 +37,7 @@ def test_exit_1_when_the_change_fails_a_larger_share(monkeypatch, capsys, parent
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
     def run_once(checkout, args, seconds):
-        failed = change_failed if checkout == ab.ROOT else parent_failed
+        failed = change_failed if checkout.name == "change" else parent_failed
         return {"correct": True, "attempted": 10, "failed": failed,
                 "metrics": {name: {"value": 1.0} for name in names}}
 
@@ -54,7 +54,7 @@ def stub_run_once(ab, change_metrics):
 
     def run_once(checkout, args, seconds):
         values = {name: 1.0 for name in names}
-        if checkout == ab.ROOT:
+        if checkout.name == "change":
             values.update(change_metrics)
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {name: {"value": v} for name, v in values.items()}}
@@ -96,7 +96,7 @@ def test_unresolved_when_the_parent_spreads_past_the_bound(monkeypatch, capsys, 
 
     def run_once(checkout, args, seconds):
         values = {name: 1.0 for name in names}
-        values["setup_s"] = next(runs["change" if checkout == ab.ROOT else "parent"])
+        values["setup_s"] = next(runs["change" if checkout.name == "change" else "parent"])
         return {"correct": True, "attempted": 10, "failed": 0,
                 "metrics": {name: {"value": v} for name, v in values.items()}}
 
@@ -157,3 +157,30 @@ def test_benchmark_outputs_are_not_compared(monkeypatch, capsys, parent):
     (parent / "perfbench" / "__pycache__" / "run.cpython-311.pyc").write_bytes(b"\0")
     assert ab.benchmark_differences(parent) == []
     assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == 0
+
+
+def test_both_sides_run_from_sibling_copies(monkeypatch, parent):
+    ab = load_ab_pairs()
+    (parent / "src").mkdir()
+    (parent / "src" / "lib.py").write_text("# parent\n")
+    (parent / "perfbench" / "out").mkdir()
+    (parent / "perfbench" / "out" / "last.json").write_text("{}")
+    (parent / ".git").mkdir()
+    checkouts = []
+    stubbed = stub_run_once(ab, {})
+
+    def run_once(checkout, args, seconds):
+        checkouts.append(checkout)
+        assert (checkout / "BENCHMARK.json").is_file() and (checkout / "perfbench" / "run.py").is_file()
+        assert not (checkout / "perfbench" / "out").exists() and not (checkout / ".git").exists()
+        assert not any(checkout.rglob("__pycache__"))
+        source = checkout / "src" / ("lib.py" if checkout.name == "parent" else "qcbound/diffops.py")
+        assert source.is_file()
+        return stubbed(checkout, args, seconds)
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "2"]) == 0
+    assert {c.name for c in checkouts} == {"parent", "change"} and len(checkouts) == 4
+    (copies,) = {c.parent for c in checkouts}
+    assert copies not in (parent, parent.parent, ab.ROOT, ab.ROOT.parent)
+    assert not copies.exists()

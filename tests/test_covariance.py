@@ -4,16 +4,18 @@ independent of the recorded reference.
 Under x = X + s with s in Z, the model y^2 = f(x) becomes y^2 = f_s(X) with
 f_s(X) = f(X + s): monic, integral and of good reduction at the same primes.
 The basis differentials pull back as omega_j = sum_k C(j,k) s^(j-k) omega'_k,
-so with M[j][k] = C(j,k) s^(j-k) the spec (a, v, h) becomes
-(M^T a M, M^T v, h(X + s)), and the disk (x_bar, y_bar) becomes
+so with M[j][k] = C(j,k) s^(j-k) the spec (a, v, h, eta) becomes
+(M^T a M, M^T v, h(X + s), eta(X + s)), since dx = dX, and the disk
+(x_bar, y_bar) becomes
 (x_bar - s mod p, y_bar); infinite disks keep their labels.  On matching
 disks the zero count, its method, the operator order, the bound, the
 certification, niceness and success must agree.  The lifts, the chart
 parameters and the niceness witnesses are not compared: the chart centres
 move with the model.
 
-Specs: the eta-free (odd, order-2-shape) genus1_batch specs of generator
-seed 3 with s in {1, -2, p}, and genus2_even_p7 seed 3 with s = 1.
+Specs: every genus1_batch spec of generator seed 3 (the six odd
+order-2-shape ones and the six even quartics carrying eta = x^3/y) with s in
+{1, -2, p}, and genus2_even_p7 seed 3 with s = 1.
 
 Under the involution y -> -y, omega_j pulls back to -omega_j, so the spec
 (a, v, h, eta) becomes (a, -v, h o iota, iota^* eta) on the same model, and
@@ -37,9 +39,14 @@ from qcbound.pipeline import run_pipeline
 SEED = 3
 
 
+def pulled_back(F, Cs, s):
+    """The curve function F(X + s, y) on the shifted model Cs."""
+    return CurveFunction(Cs, *(RationalFunc(part.num.compose_shift(s), part.den.compose_shift(s))
+                               for part in F.view()))
+
+
 def shifted_spec(spec, s):
-    """The spec pulled back through x = X + s (eta-free specs only)."""
-    assert not spec.eta
+    """The spec pulled back through x = X + s."""
     C = spec.curve
     Cs = CurveModel(C.kind, C.f.compose_shift(s))
     n = len(spec.basis)
@@ -48,9 +55,9 @@ def shifted_spec(spec, s):
     a = [[sum(M[i][k] * spec.a_matrix[i][j] * M[j][l] for i in range(n) for j in range(n))
           for l in range(n)] for k in range(n)]
     v = [sum(M[j][k] * spec.a_vector[j] for j in range(n)) for k in range(n)]
-    h = CurveFunction(Cs, *(RationalFunc(part.num.compose_shift(s), part.den.compose_shift(s))
-                            for part in spec.h.view()))
-    return ColemanSpec(curve=Cs, p=spec.p, a_matrix=a, a_vector=v, h=h, T=spec.T)
+    eta = None if spec.eta is None else pulled_back(spec.eta, Cs, s)
+    return ColemanSpec(curve=Cs, p=spec.p, a_matrix=a, a_vector=v, h=pulled_back(spec.h, Cs, s),
+                       eta=eta, T=spec.T)
 
 
 def disk_key(disk, s, p):
@@ -75,8 +82,7 @@ def compared(ana):
 def _pairs():
     out = []
     for case in workload_cases("genus1_batch", SEED):
-        if not case.spec.eta:
-            out += [(case, s) for s in (1, -2, int(case.spec.p))]
+        out += [(case, s) for s in (1, -2, int(case.spec.p))]
     out += [(case, 1) for case in workload_cases("genus2_even_p7", SEED)]
     return out
 
@@ -104,8 +110,9 @@ def test_translation_covariance(original_runs, case, s):
 
 
 def test_pair_count():
-    # six odd genus1_batch specs at three shifts, one genus-2 spec at one
-    assert len(PAIRS) == 19
+    # six odd and six eta-carrying even genus1_batch specs at three shifts,
+    # one genus-2 spec at one
+    assert len(PAIRS) == 37
 
 
 def swapped_spec(spec):

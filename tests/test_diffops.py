@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from perfbench_support import workload_cases
 
 from qcbound.diffops import (
     DifferentialOperator,
+    _leibniz,
     _minor_determinants,
     annihilator_matrix,
     apply_on_chart,
@@ -482,6 +484,64 @@ class TestIntegerMinors:
         # the counter sees the reference's products
         _minor_determinants(annihilator_matrix(weierstrass_orders(C), funcs))
         assert len(products) == 180
+
+
+def fraction_compose(D1, chart):
+    """compose_with_base(D1, "omega0", chart) by ``_leibniz`` on the
+    ``TruncatedSeries`` coefficients of D1 and V = y / (dx/dt)."""
+    out = _leibniz(D1.coeffs, (chart.y / chart.dx_dt).regular_part())
+    out[0] = TruncatedSeries.zero(D1.leading.truncation)
+    return DifferentialOperator(out).coeffs
+
+
+class TestIntegerCompose:
+    """On a Weierstrass chart D1 and V are rational series, and the
+    composition with d/omega0 runs on integer numerators; the Fraction
+    ``_leibniz`` composition is the reference."""
+
+    @pytest.mark.parametrize("f, kind, T", [
+        (genus2_even().f.coeffs, "even", 24),
+        (genus2_even().f.coeffs, "even", 52),
+        ([0, -1, 0, 1], "odd", 20),
+    ])
+    def test_weierstrass_charts_match_the_fraction_composition(self, monkeypatch, f, kind, T):
+        C = CurveModel(kind, f)
+        charts = [weierstrass_chart(C, d, 7, T) for d in residue_disks(C, 7) if d.kind == "affine_weierstrass"]
+        assert len(charts) == 3
+        products = []
+        mul = TruncatedSeries.__mul__
+        for chart in charts:
+            D1 = weierstrass_local_annihilator(chart)
+            expected = fraction_compose(D1, chart)
+            monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+            got = compose_with_base(D1, "omega0", chart).coeffs
+            monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
+            assert same_coefficients(got, expected), chart.disk
+        # V = y / (dx/dt) takes at most one series product per chart; the
+        # Fraction path takes one more per Leibniz term (35 at genus 2)
+        assert len(products) <= len(charts)
+
+    @settings(max_examples=150, deadline=None)
+    @given(annihilator_inputs(), st.lists(rational_coefficients, min_size=1, max_size=8), st.integers(0, 6))
+    def test_random_rational_series_match_the_fraction_composition(self, inputs, v, pad):
+        # coefficients and a V that are polynomials padded with known zeros, so
+        # that some g_i and some derivatives of V are known zero and skipped
+        _, coeffs = inputs
+        assume(any(not g.is_known_zero() for g in coeffs) and v[0])
+        V = TruncatedSeries(v + [Fraction(0)] * pad)
+        chart = SimpleNamespace(y=LaurentSeries.from_series(V), dx_dt=LaurentSeries.from_series(S([1], 20)),
+                                disk="test disk")
+        D1 = DifferentialOperator(coeffs)
+        # a V too short for the order leaves a slot unreached or a derivative
+        # undefined: both paths must then raise alike
+        errors = (DegenerateOperatorError, DomainError, PrecisionError)
+        try:
+            expected = fraction_compose(D1, chart)
+        except errors as exc:
+            with pytest.raises(type(exc)):
+                compose_with_base(D1, "omega0", chart)
+        else:
+            assert same_coefficients(compose_with_base(D1, "omega0", chart).coeffs, expected)
 
 
 def laurent_apply_on_chart(D, F, chart):

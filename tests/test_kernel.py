@@ -165,6 +165,14 @@ def unit_series(draw, quadratic):
     return out
 
 
+@st.composite
+def single_parity(draw):
+    """(r, ints): integers that are zero off the residue class r mod 2."""
+    r = draw(st.integers(0, 1))
+    ints = draw(st.lists(big_ints, max_size=12))
+    return r, [c if i % 2 == r else 0 for i, c in enumerate(ints)]
+
+
 # -- the integer kernel ---------------------------------------------------------
 
 
@@ -181,6 +189,22 @@ class TestConvolve:
         assert convolve([0, 0], [5, -7], 3) == [0, 0, 0]
         assert convolve([], [1, 2], 2) == [0, 0]
         assert convolve([3], [4], 0) == []
+
+    @KERNEL
+    @given(single_parity(), single_parity(), st.integers(0, 26))
+    @example((0, []), (1, [0, 3]), 4)           # an empty factor
+    @example((0, [0, 0, 0]), (1, [0, 5]), 4)    # an all-zero factor
+    @example((0, [7]), (0, [-2, 0, 9]), 5)      # length 1, even x even
+    @example((1, [0, 2]), (1, [0, -3, 0, 4]), 2)  # odd x odd, n = ra + rb
+    @example((0, [1, 0, 1]), (1, [0, 1]), 1)    # even x odd, n = ra + rb
+    @example((1, [0, 1]), (1, [0, 1]), 1)       # n < ra + rb
+    def test_single_parity_factors_match_naive_convolution(self, a, b, n):
+        # the parity split multiplies the strided halves; the result must be
+        # the full convolution, zeros in the other residue class included
+        (ra, a), (rb, b) = a, b
+        out = convolve(a, b, n)
+        assert out == naive_convolve(a, b, n)
+        assert not any(out[1 - (ra + rb) % 2::2])
 
     @KERNEL
     @given(st.lists(rationals, min_size=1, max_size=12))

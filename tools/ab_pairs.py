@@ -7,8 +7,13 @@ PARENT_DIR is a second checkout of the parent commit (for example
 ``perfbench/run.py --trace 0`` once in each checkout for the ``run_seconds``
 of BENCHMARK.json, one after the other,
 and swaps which side goes first from one pair to the next, so that a drift
-of the machine lands on both sides alike.  Each side runs its own sources
-and writes its own perfbench/out/.  Every run starts with no bytecode cache:
+of the machine lands on both sides alike.  Before the first pair both
+checkouts are copied into sibling directories ``parent`` and ``change`` of
+one temporary directory (their files, hidden entries, bytecode caches and
+perfbench/out/ aside), so that both sides run from paths of the same length
+and depth; ``peak_rss_mb`` read about 1.4% apart for the same code run from
+two different directories.  Each side runs its own sources and writes its
+own perfbench/out/ in its copy.  Every run starts with no bytecode cache:
 PYTHONDONTWRITEBYTECODE=1 and PYTHONPYCACHEPREFIX set to a fresh empty
 directory, so that both sides compile their sources as a fresh checkout
 does, and ``setup_s``, which imports the library, measures that compile.
@@ -34,6 +39,7 @@ files and exits 2 before any run.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -54,6 +60,17 @@ def run_once(checkout, args, seconds):
     if proc.returncode or not lines:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def copy_checkout(checkout, dest):
+    """Copy the files of ``checkout`` to ``dest``, leaving out hidden entries
+    (.git, tool caches), bytecode caches and perfbench/out/."""
+    def ignore(directory, names):
+        return [name for name in names if name.startswith(".") or name == "__pycache__"
+                or (name == "out" and Path(directory) == checkout / "perfbench")]
+
+    shutil.copytree(checkout, dest, ignore=ignore)
+    return dest
 
 
 def _benchmark_files(checkout):
@@ -79,11 +96,18 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
-    differences = benchmark_differences(sides["parent"])
+    differences = benchmark_differences(args.parent.resolve())
     if differences:
         print("the benchmark differs between the checkouts: " + ", ".join(differences), file=sys.stderr)
         return 2
+    with tempfile.TemporaryDirectory() as copies:
+        sides = {"parent": copy_checkout(args.parent.resolve(), Path(copies) / "parent"),
+                 "change": copy_checkout(ROOT, Path(copies) / "change")}
+        return run_pairs(args, sides)
+
+
+def run_pairs(args, sides):
+    """Run the pairs in the checkouts ``sides`` and print the comparison; the exit code."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
     values = {side: {m["name"]: [] for m in metrics} for side in sides}
