@@ -16,7 +16,12 @@ i <= 2g-1 on odd ones), a rational matrix/vector of constants, an optional
 third-kind differential eta given as a dx-quotient, and an algebraic h.
 Integrands are assembled as omega/dt, so expansions exist on Weierstrass
 disks too, where the dx-quotients themselves have poles but the
-differentials do not.
+differentials do not.  On an affine chart with rational series, every
+Weierstrass chart among them, ``expand_G`` runs on ``series.IntegerSeries``:
+omega_j/dt is x^j from the chart's power table times the one series
+omega_0/dt, and the single and double integrals, the row sums, eta and h are
+integer products, antiderivatives and linear combinations; other charts run
+the same steps on ``TruncatedSeries``.
 
 The algebraic image D(G) of an operator D = sum g_k delta^k with algebraic
 coefficients is derived from D itself (``algebraic_image``).  G is written as
@@ -48,7 +53,7 @@ from .funcfield import (
 from .hyperelliptic import CurveModel, residue_disks
 from .padics import Prime, as_prime
 from .polys import Poly
-from .series import TruncatedSeries
+from .series import IntegerSeries, LaurentSeries, TruncatedSeries, combination, rational_series
 
 
 def default_basis(curve):
@@ -149,42 +154,65 @@ def expand_G(spec, chart):
     Row i of the double integrals is one product and one antiderivative,
     since sum_j a_ij (int omega_i I_j + c_ij) = int omega_i (sum_j a_ij I_j)
     + sum_j a_ij c_ij; its truncation is the one the sum of the
-    ``expand_double_integral`` terms would have.
+    ``expand_double_integral`` terms would have.  The row sums and G itself
+    are linear combinations (``series.combination``).
+
+    On an affine chart with rational series (every Weierstrass chart) all of
+    this runs on ``IntegerSeries``, the integrands read from the chart's power
+    table (``_integer_integrand``), eta's integrand and h converted once;
+    each coefficient of G becomes one Fraction at the end, with the values,
+    types and truncation of the ``TruncatedSeries`` computation that the
+    other charts run.
     """
     consts = spec.constants_for(chart.disk)
     # omega_j is an outer integrand when row j is used, and I_j is needed when
     # column j or a_vector[j] is
     as_outer = [any(row) for row in spec.a_matrix]
     as_inner = [any(col) or a for col, a in zip(zip(*spec.a_matrix), spec.a_vector)]
-    integrands = [_integrand(omega, chart) if o or i else None
-                  for omega, o, i in zip(spec.basis, as_outer, as_inner)]
+    used = [o or i for o, i in zip(as_outer, as_inner)]
+    integer = chart.disk.kind != "infinite" and rational_series(chart.y.series)
+    if integer:
+        lift = IntegerSeries.of
+        if any(used):
+            omega0 = LaurentSeries.from_series(_integrand(spec.basis[0], chart)).normalized()
+            omega0 = (omega0.order, lift(omega0.series))
+        integrands = [_integer_integrand(chart, j, omega0) if u else None for j, u in enumerate(used)]
+    else:
+        def lift(s):
+            return s
+        integrands = [_integrand(omega, chart) if u else None for omega, u in zip(spec.basis, used)]
     singles = [integrand.antiderivative(c) if i else None
                for integrand, i, c in zip(integrands, as_inner, consts.singles)]
-    out = None
+    terms = []
     for row, outer, doubles in zip(spec.a_matrix, integrands, consts.doubles):
-        if not any(row):
-            continue
-        inner, constant = None, Fraction(0)
-        for a, single, c in zip(row, singles, doubles):
-            if a:
-                term = single.scale(a)
-                inner = term if inner is None else inner + term
-                constant += a * c
-        J = (outer * inner).antiderivative(constant)
-        out = J if out is None else out + J
-    for a, single in zip(spec.a_vector, singles):
-        if a:
-            term = single.scale(a)
-            out = term if out is None else out + term
+        if any(row):
+            inner = combination([(a, single) for a, single in zip(row, singles) if a])
+            constant = sum((a * c for a, c in zip(row, doubles) if a), Fraction(0))
+            terms.append((1, (outer * inner).antiderivative(constant)))
+    terms += [(a, single) for a, single in zip(spec.a_vector, singles) if a]
     if spec.eta is not None and spec.eta:
-        term = expand_single_integral(spec.eta, chart, consts.eta)
-        out = term if out is None else out + term
+        terms.append((1, lift(_integrand(spec.eta, chart)).antiderivative(consts.eta)))
     if spec.h:
-        term = chart.expand(spec.h)
-        out = term if out is None else out + term
-    if out is None:
-        out = TruncatedSeries.zero(chart.T)
-    return out
+        terms.append((1, lift(chart.expand(spec.h))))
+    if not terms:
+        return TruncatedSeries.zero(chart.T)
+    G = combination(terms)
+    return G.series() if integer else G
+
+
+def _integer_integrand(chart, j, omega0):
+    """omega_j/dt = x^j omega_0/dt as an ``IntegerSeries``: the stripped x^j
+    of the chart's power table times omega0 = (order, numerators) of the
+    ``_integrand`` of omega_0 stripped of its leading zeros, shifted to its
+    order.  That integrand fails as every ``_integrand`` of the chart does
+    when f(x(t)) is known zero, and on an affine chart none has a pole.
+
+    ``_integrand`` reads x^j/y as 0 + (x^j/f) y, whose zero part is known to
+    t^T, so it knows omega_j/dt to t^(T + ord dx/dt) at most; the product is
+    cut there.
+    """
+    order, xj = chart.power(j)
+    return (xj * omega0[1]).shifted(order + omega0[0], chart.T + chart.dx_dt.normalized().order)
 
 
 def algebraic_image(D, spec):

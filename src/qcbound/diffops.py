@@ -24,15 +24,18 @@ shared across all minors (a subset dynamic program over columns); over
 truncated series this loses no precision, unlike fraction-free elimination,
 whose exact divisions by positive-order pivots would.
 
-Rational series run on integers.  When every F_i is a rational series
-(always so on a Weierstrass chart), row i is written over the common
-denominator of F_i and the same dynamic program runs on integer numerators,
-one ``convolve`` per product and none with a known-zero factor.  Likewise
-``compose_with_base`` of a series operator whose coefficients and V are all
-rational series writes the coefficients over one common denominator and V
-over its own, and runs the same ``_leibniz`` on the numerators.  Either way
-each output coefficient becomes one Fraction, at the end; curve functions and
-series over Q(sqrt d) keep the generic path.
+Rational series run on integers, as ``series.IntegerSeries``.  When every
+F_i is one (``weierstrass_local_annihilator`` reads 1, x, ..., x^(m-1)
+straight from the chart's power table) or a rational series, row i lies over
+the denominator of F_i and the same dynamic program runs on integer
+numerators, one ``convolve`` per product and none with a known-zero factor.
+Likewise ``compose_with_base`` of a series operator whose coefficients and V
+are all rational series writes the coefficients over one common denominator
+and V over its own, and runs the same ``_leibniz`` on the numerators; and
+``apply_series`` of such an operator to a rational F sums the G_k F^(k) on
+numerators.  Each output coefficient becomes one Fraction, at the end; curve
+functions and series over Q(sqrt d) keep the generic path, through the same
+code.
 """
 
 from dataclasses import dataclass
@@ -49,8 +52,7 @@ from .errors import (
 from .funcfield import CurveFunction
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, as_prime, reduce_mod, valuation
-from .polys import Poly, common_denominator, convolve
-from .series import LaurentSeries, TruncatedSeries
+from .series import IntegerSeries, LaurentSeries, TruncatedSeries, rational_series
 
 
 class DifferentialOperator:
@@ -102,14 +104,9 @@ class DifferentialOperator:
 def _is_zero_coeff(c):
     if isinstance(c, LaurentSeries):
         c = c.series
-    if isinstance(c, (TruncatedSeries, _IntEntry)):
+    if isinstance(c, (TruncatedSeries, IntegerSeries)):
         return c.is_known_zero()
     return not c
-
-
-def _rational_series(s):
-    """True for a TruncatedSeries whose coefficients are all int or Fraction."""
-    return isinstance(s, TruncatedSeries) and all(isinstance(c, (int, Fraction)) for c in s.coeffs)
 
 
 @dataclass
@@ -140,7 +137,13 @@ def apply_series(D, F):
 
     The series variable is the operator's own coordinate (base 'dx'), so the
     i-th derivative is the plain series derivative.  The result precision is
-    T(F) - order, as each derivative costs one coefficient.
+    T(F) - order, as each derivative costs one coefficient, capped by the
+    truncations of the coefficients; an operator whose coefficients are all
+    known zero gives a known-zero series of that precision.  When F and
+    every nonzero coefficient are rational series, the coefficients are
+    written over one common denominator and F over its own, and the sum of
+    the G_k F^(k) runs on their integer numerators, one ``convolve`` per
+    term; each output coefficient becomes one Fraction at the end.
     """
     if D.base != "dx":
         raise DomainError("series application of a d/omega0 operator needs a chart")
@@ -149,18 +152,22 @@ def apply_series(D, F):
             f"series precision {F.truncation} below operator order {D.order}",
             needed=D.order + 1,
         )
+    terms = [(k, g) for k, g in enumerate(D.coeffs) if not _is_zero_coeff(g)]
+    if any(isinstance(g, CurveFunction) for _, g in terms):
+        raise DomainError("algebraic coefficients need apply_on_chart")
+    if not terms:
+        known = [g.truncation for g in D.coeffs if isinstance(g, TruncatedSeries)]
+        return TruncatedSeries.zero(min(F.truncation - D.order, *known))
+    coeffs = [g for _, g in terms]
+    integer = all(map(rational_series, (F, *coeffs)))
+    if integer:
+        coeffs, F = IntegerSeries.over_one_denominator(coeffs), IntegerSeries.of(F)
+    chain = _derivation_chain(F, terms[-1][0], "dx")
     out = None
-    current = F
-    for i, g in enumerate(D.coeffs):
-        if i > 0:
-            current = current.derivative()
-        if _is_zero_coeff(g):
-            continue
-        if isinstance(g, CurveFunction):
-            raise DomainError("algebraic coefficients need apply_on_chart")
-        term = g * current
+    for (k, _), g in zip(terms, coeffs):
+        term = g * chain[k]
         out = term if out is None else out + term
-    return out
+    return out.series() if integer else out
 
 
 def _chart_derivation(chart, base):
@@ -271,7 +278,7 @@ def _derivation_chain(F, max_order, base):
     chain = [F]
     for _ in range(max_order):
         cur = chain[-1]
-        if isinstance(cur, (TruncatedSeries, LaurentSeries, _IntEntry)):
+        if isinstance(cur, (TruncatedSeries, LaurentSeries, IntegerSeries)):
             chain.append(cur.derivative())
         elif base == "dx":
             chain.append(cur.d_dx())
@@ -290,7 +297,7 @@ def _index_set(S, funcs):
     if len(S) != len(funcs) + 1:
         raise DomainError(f"need |S| = m+1 = {len(funcs) + 1}, got {len(S)}")
     for F in funcs:
-        if isinstance(F, TruncatedSeries) and F.truncation <= S[-1]:
+        if isinstance(F, (TruncatedSeries, IntegerSeries)) and F.truncation <= S[-1]:
             raise PrecisionError(
                 f"truncation {F.truncation} too low for derivative order {S[-1]}",
                 needed=S[-1] + 1,
@@ -313,92 +320,18 @@ def annihilator_matrix(S, funcs, base="dx"):
     return rows
 
 
-class _IntEntry:
-    """A rational series as integer numerators over a denominator that the
-    caller keeps (its row's in ``_integer_rows``, the operator's or V's in
-    ``compose_with_base``), known to ``n`` coefficients; ``ints`` is None
-    when the entry is known zero.
-
-    Products, sums, derivatives and integer scales keep ``TruncatedSeries``'
-    truncations (the shorter operand; one fewer for a derivative) and do no
-    arithmetic on a known zero, so ``_minor_determinants`` and ``_leibniz``
-    run on these entries unchanged, each product one ``convolve``.
-    """
-
-    __slots__ = ("n", "ints")
-
-    def __init__(self, n, ints):
-        self.n, self.ints = n, ints
-
-    def __mul__(self, other):
-        n = min(self.n, other.n)
-        if self.ints is None or other.ints is None:
-            return _IntEntry(n, None)
-        return _IntEntry(n, convolve(self.ints, other.ints, n))
-
-    def __neg__(self):
-        return _IntEntry(self.n, None if self.ints is None else [-c for c in self.ints])
-
-    def __add__(self, other):
-        n = min(self.n, other.n)
-        if other.ints is None:
-            return _IntEntry(n, None if self.ints is None else self.ints[:n])
-        if self.ints is None:
-            return _IntEntry(n, other.ints[:n])
-        return _IntEntry(n, [a + b for a, b in zip(self.ints, other.ints)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_known_zero(self):
-        return self.ints is None or not any(self.ints)
-
-    def derivative(self):
-        """d/dt of the entry, over the same denominator."""
-        if self.n < 1:
-            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
-        ints = None if self.ints is None else [k * c for k, c in enumerate(self.ints[1:], 1)]
-        return _IntEntry(self.n - 1, ints)
-
-    def scale(self, c):
-        """c * entry for an integer c."""
-        return _IntEntry(self.n, None if self.ints is None else [c * x for x in self.ints])
-
-    def series(self, den):
-        """The entry as a TruncatedSeries of Fractions over ``den``."""
-        if self.ints is None:
-            return TruncatedSeries.zero(self.n)
-        return TruncatedSeries([Fraction(c, den) for c in self.ints])
-
-
-def _int_entries(series):
-    """(L, entries): rational series as ``_IntEntry`` numerators over their
-    one least common denominator L."""
-    den, ints = common_denominator([c for s in series for c in s.coeffs])
-    entries, start = [], 0
-    for s in series:
-        entries.append(_IntEntry(s.truncation, ints[start:start + s.truncation]))
-        start += s.truncation
-    return den, entries
-
-
 def _integer_rows(S, funcs):
-    """(den, rows): the rows of ``annihilator_matrix`` for rational series,
-    row i written over the common denominator L_i of F_i, and den = prod L_i.
-
-    With F_i = ints / L_i, the entry (1/n!) D^n F_i has numerators
-    C(j, n) ints[j] for j >= n, known to len(F_i) - n coefficients.
-    """
-    den, rows = 1, []
+    """The rows of ``annihilator_matrix`` for ``IntegerSeries`` F_i: with
+    F_i = ints / L_i, the entry (1/n!) D^n F_i has numerators C(j, n) ints[j]
+    over L_i for j >= n, known to n(F_i) - n coefficients."""
+    rows = []
     for F in funcs:
-        L, ints = common_denominator(F.coeffs)
-        den *= L
         row = []
         for n in S:
-            entry = [comb(j, n) * c for j, c in enumerate(ints[n:], n)]
-            row.append(_IntEntry(len(entry), entry if any(entry) else None))
+            entry = [comb(j, n) * c for j, c in enumerate(F.ints[n:], n)] if F.ints else []
+            row.append(IntegerSeries(F.den, entry if any(entry) else None, F.n - n))
         rows.append(row)
-    return den, rows
+    return rows
 
 
 def _minor_determinants(rows):
@@ -408,7 +341,7 @@ def _minor_determinants(rows):
     determinant of the first k rows restricted to it, expanding along the last
     row; every maximal minor shares the lower levels.  Entries need only
     ``*``, ``+``, ``-`` and unary ``-``: curve functions, series, or the
-    integer entries of ``_integer_rows``.
+    ``IntegerSeries`` entries of ``_integer_rows``.
     """
     m = len(rows)
     ncols = len(rows[0])
@@ -438,16 +371,17 @@ def build_annihilator(S, funcs, base="dx"):
     """Nice-candidate annihilator of F_1..F_m from the index set S.
 
     D = sum_i (-1)^(i+1) (n_{m+1}!/n_i!) det(A^(i)) D^{n_i}; annihilates every
-    F_i identically (bordered matrix with a repeated row).  Rational series
-    inputs take the integer rows of ``_integer_rows``; curve functions and
-    series over Q(sqrt d) take the entries of ``annihilator_matrix``.  Both
-    run ``_minor_determinants`` and give the same coefficients, types and
-    truncations.
+    F_i identically (bordered matrix with a repeated row).  ``IntegerSeries``
+    and rational series inputs take the integer rows of ``_integer_rows``,
+    each row over the denominator of its F_i and each minor over the product
+    of those; curve functions and series over Q(sqrt d) take the entries of
+    ``annihilator_matrix``.  Both run ``_minor_determinants`` and give the
+    same coefficients, types and truncations.
     """
     S = _index_set(S, funcs)
-    if all(map(_rational_series, funcs)):
-        den, rows = _integer_rows(S, funcs)
-        minors = [minor.series(den) for minor in _minor_determinants(rows)]
+    if all(isinstance(F, IntegerSeries) or rational_series(F) for F in funcs):
+        funcs = [F if isinstance(F, IntegerSeries) else IntegerSeries.of(F) for F in funcs]
+        minors = [minor.series() for minor in _minor_determinants(_integer_rows(S, funcs))]
     else:
         minors = _minor_determinants(annihilator_matrix(S, funcs, base=base))
     if all(_is_zero_coeff(d) for d in minors):
@@ -550,10 +484,9 @@ def compose_with_base(D1, base, chart=None):
         raise DomainError("series coefficients need the chart of their disk")
     else:
         V = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
-        if all(map(_rational_series, (V, *D1.coeffs))):
-            den, coeffs = _int_entries(D1.coeffs)
-            den_v, (v,) = _int_entries([V])
-            out = [e if e is None else e.series(den * den_v) for e in _leibniz(coeffs, v)]
+        if all(map(rational_series, (V, *D1.coeffs))):
+            coeffs = IntegerSeries.over_one_denominator(D1.coeffs)
+            out = [e if e is None else e.series() for e in _leibniz(coeffs, IntegerSeries.of(V))]
         else:
             out = _leibniz(D1.coeffs, V)
     # the nonzero leading g_N reaches every slot but the first
@@ -605,10 +538,10 @@ def weierstrass_local_annihilator(chart):
     model = chart.model
     if chart.disk.kind != "affine_weierstrass":
         raise DomainError("local Weierstrass annihilator needs a Weierstrass chart")
-    # x^k from the chart's power table, cut to T coefficients: at x_w = 0 the
-    # table knows x^k to t^(2k + T - 2)
-    funcs = [TruncatedSeries(chart.expand(CurveFunction(model, Poly.x_power(k))).coeffs[:chart.T])
-             for k in range(model.basis_size)]
+    # x^k straight from the chart's power table, cut to T coefficients: at
+    # x_w = 0 the table knows x^k to t^(2k + T - 2)
+    funcs = [series.shifted(order, chart.T)
+             for order, series in map(chart.power, range(model.basis_size))]
     return build_annihilator(weierstrass_orders(model), funcs, base="dx")
 
 

@@ -41,7 +41,7 @@ or a factorisation of f.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .errors import DomainError, NonUnitError, PoleError
@@ -49,7 +49,7 @@ from .hyperelliptic import DiskDescriptor, poly_mod, value_mod
 from .padics import as_prime, reduce_mod, valuation
 from .polys import Poly, common_denominator, convolve, poly_gcd, primitive_int, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
-from .series import LaurentSeries, TruncatedSeries
+from .series import IntegerSeries, LaurentSeries, TruncatedSeries
 
 _ONE = Poly([1])
 _HALF = Fraction(1, 2)
@@ -621,9 +621,10 @@ class _Powers:
     polynomial is evaluated at a disk series.
 
     Power k is (order, L, X_k): the coefficient of t^(order + i) is X_k[i] / L,
-    known for i < len(X_k); x^0 = 1 is known to T coefficients.  Powers are
-    built as the ``LaurentSeries`` product x^(k-1) * x of the two factors
-    stripped of leading known zeros, so order and end agree with it.
+    known for i < len(X_k), with L the least common denominator; x^0 = 1 is
+    known to T coefficients.  Powers are built as the ``LaurentSeries``
+    product x^(k-1) * x of the two factors stripped of leading known zeros,
+    so order and end agree with it, and divided by the gcd of L and X_k.
     ``eval_poly`` forms sum_k c_k X_k over one common denominator; the result
     has the least order and the least end over the powers used, as a chain
     of sums would.
@@ -642,8 +643,15 @@ class _Powers:
         while len(powers) <= k:
             order, den, ints = _stripped(powers[-1])
             n = min(len(ints), len(x_ints))
-            powers.append((order + x_order, den * x_den, convolve(ints, x_ints, n)))
+            ints, den = convolve(ints, x_ints, n), den * x_den
+            g = gcd(den, *ints)
+            powers.append((order + x_order, den // g, [c // g for c in ints]))
         return powers[k]
+
+    def power(self, k):
+        """x^k as (order, IntegerSeries), its leading known zeros moved into the order."""
+        order, den, ints = _stripped(self._power(k))
+        return order, IntegerSeries(den, ints if any(ints) else None, len(ints))
 
     def eval_poly(self, poly):
         terms = [(c, self._power(k)) for k, c in enumerate(poly.coeffs) if c]

@@ -18,6 +18,20 @@ s conj(s) is rational.  A coefficient of any result is a ``Fraction`` exactly
 when it is rational, because ``QuadExt`` returns one when the sqrt(d) part
 cancels; no operation here inspects or changes coefficient types.
 
+``IntegerSeries`` is the one integer form of a rational series: integer
+numerators over one denominator it owns, known to n coefficients, with no
+list at all for a known zero.  Its sums, products (one ``convolve``), integer
+scales, derivatives, antiderivatives (over den * lcm(1..n)) and linear
+combinations (``combination``, over one lcm) keep the truncations of the
+same operations on ``TruncatedSeries``, and ``series()`` turns each
+coefficient into one ``Fraction`` at the end, so a computation run on it
+gives the values, types and truncations of the Fraction one.  The
+Weierstrass annihilator route runs on it from chart to D(G): the power table
+of a disk chart, the rows and minors of the annihilator, its composition
+with d/omega_0, the expansion of G and the application of the operator to
+it (``diffops``, ``coleman``).  Series over Q(sqrt d) keep the Fraction
+path.
+
 Newton polygons are lower convex hulls of the points (i, v(c_i)).  Because
 only finitely many coefficients are known, the slope <= -1 part of the hull
 is *certified* only when no hypothetical coefficient at index >= T with
@@ -29,7 +43,8 @@ floor_val = INFINITY.
 """
 
 from fractions import Fraction
-from operator import mul
+from math import lcm
+from operator import add, mul
 
 from .errors import (
     DomainError,
@@ -186,6 +201,140 @@ class TruncatedSeries:
                 shown.append(f"{c}*t^{i}" if i else f"{c}")
         body = " + ".join(shown) if shown else "0"
         return f"TruncatedSeries({body} + O(t^{len(self.coeffs)}))"
+
+
+def rational_series(s):
+    """True for a TruncatedSeries whose coefficients are all int or Fraction."""
+    return isinstance(s, TruncatedSeries) and all(isinstance(c, (int, Fraction)) for c in s.coeffs)
+
+
+class IntegerSeries:
+    """A rational series as integer numerators over its own denominator.
+
+    The coefficient of t^i is ints[i] / den for i < n; ``ints`` is None when
+    the series is known zero.  Sums, products, derivatives and
+    antiderivatives keep ``TruncatedSeries``' truncations (the shorter
+    operand; one fewer for a derivative, one more for an antiderivative) and
+    do no arithmetic on a known zero.  A product is one ``convolve`` over the
+    product of the denominators; a sum over one denominator adds the
+    numerators, otherwise it rescales both to the lcm.  ``series`` turns
+    each coefficient into one ``Fraction``: the values, types and truncation
+    of the same computation on ``TruncatedSeries``.
+    """
+
+    __slots__ = ("den", "ints", "n")
+
+    def __init__(self, den, ints, n):
+        self.den, self.ints, self.n = den, ints, n
+
+    @classmethod
+    def of(cls, s):
+        """A rational ``TruncatedSeries`` over its least common denominator."""
+        return cls.over_one_denominator([s])[0]
+
+    @classmethod
+    def over_one_denominator(cls, series):
+        """Rational ``TruncatedSeries`` over their one least common denominator,
+        so that sums of their products need no rescaling."""
+        den, ints = common_denominator([c for s in series for c in s.coeffs])
+        out, start = [], 0
+        for s in series:
+            part = ints[start:start + s.truncation]
+            out.append(cls(den, part if any(part) else None, s.truncation))
+            start += s.truncation
+        return out
+
+    @property
+    def truncation(self):
+        return self.n
+
+    def series(self):
+        """The series as a ``TruncatedSeries`` of Fractions."""
+        if self.ints is None:
+            return TruncatedSeries.zero(self.n)
+        return TruncatedSeries([Fraction(c, self.den) for c in self.ints])
+
+    def is_known_zero(self):
+        return self.ints is None or not any(self.ints)
+
+    def shifted(self, k, n):
+        """t^k times the series, cut to n coefficients."""
+        end = max(min(k + self.n, n), 0)
+        ints = None if self.ints is None else ([0] * k + self.ints)[:end]
+        return IntegerSeries(self.den, ints, end)
+
+    def __mul__(self, other):
+        n = min(self.n, other.n)
+        if self.ints is None or other.ints is None:
+            return IntegerSeries(self.den * other.den, None, n)
+        return IntegerSeries(self.den * other.den, convolve(self.ints, other.ints, n), n)
+
+    def __neg__(self):
+        return IntegerSeries(self.den, None if self.ints is None else [-c for c in self.ints], self.n)
+
+    def __add__(self, other):
+        n = min(self.n, other.n)
+        if other.ints is None:
+            return IntegerSeries(self.den, None if self.ints is None else self.ints[:n], n)
+        if self.ints is None:
+            return IntegerSeries(other.den, other.ints[:n], n)
+        if self.den == other.den:
+            return IntegerSeries(self.den, [a + b for a, b in zip(self.ints, other.ints)], n)
+        den = lcm(self.den, other.den)
+        ra, rb = den // self.den, den // other.den
+        return IntegerSeries(den, [ra * a + rb * b for a, b in zip(self.ints, other.ints)], n)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        """c * series for an integer c."""
+        return IntegerSeries(self.den, None if self.ints is None else [c * x for x in self.ints], self.n)
+
+    def derivative(self):
+        """d/dt, over the same denominator."""
+        if self.n < 1:
+            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
+        ints = None if self.ints is None else [k * c for k, c in enumerate(self.ints[1:], 1)]
+        return IntegerSeries(self.den, ints, self.n - 1)
+
+    def antiderivative(self, constant=0):
+        """The series with derivative self and constant term ``constant``,
+        over lcm(den * lcm(1..n), the constant's denominator)."""
+        constant = Fraction(constant)
+        m = lcm(*range(1, self.n + 1))
+        den = lcm(self.den * m, constant.denominator)
+        head = constant.numerator * (den // constant.denominator)
+        if self.ints is None:
+            return IntegerSeries(den, [head] + [0] * self.n if head else None, self.n + 1)
+        r = den // (self.den * m)
+        return IntegerSeries(den, [head] + [c * (r * (m // k)) for k, c in enumerate(self.ints, 1)],
+                             self.n + 1)
+
+
+def combination(terms):
+    """sum c * s over the (c, s) pairs, for rational c and series s of one
+    type, known to the least truncation of the s.
+
+    ``IntegerSeries`` terms are summed over the lcm of the c.denominator *
+    s.den, each term one integer multiple of its numerators.
+    """
+    if not isinstance(terms[0][1], IntegerSeries):
+        out = None
+        for c, s in terms:
+            term = s if c == 1 else s.scale(c)
+            out = term if out is None else out + term
+        return out
+    n = min(s.n for _, s in terms)
+    live = [(Fraction(c), s) for c, s in terms if c and s.ints is not None]
+    if not live:
+        return IntegerSeries(1, None, n)
+    den = lcm(*(c.denominator * s.den for c, s in live))
+    acc = [0] * n
+    for c, s in live:
+        w = c.numerator * (den // (c.denominator * s.den))
+        acc = list(map(add, acc, map(w.__mul__, s.ints)))
+    return IntegerSeries(den, acc, n)
 
 
 def _product(a, b, n):

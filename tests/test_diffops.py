@@ -73,6 +73,20 @@ class TestApply:
         with pytest.raises(PrecisionError):
             apply_series(D, S([1, 2], 2))
 
+    def test_known_zero_operator_gives_a_known_zero_series(self):
+        # x^6 at the disk centred at x = 0 is t^6, so to T = 6 its local
+        # coefficient is known zero: the result is zero to T(F) - order
+        C = CurveModel("odd", [1, 1, 0, 1])
+        chart = nonweierstrass_chart(C, DiskDescriptor("affine_nonweierstrass", 0, 1), 5, 6)
+        assert chart.center[0] == 0
+        F = chart.expand(CurveFunction.x(C))
+        out = apply_on_chart(DifferentialOperator([CurveFunction(C, Poly.x_power(6))]), F, chart)
+        assert out == TruncatedSeries.zero(6)
+        # capped by the coefficients' own truncations
+        D = DifferentialOperator._untrimmed([S([0], 5), S([0], 7), S([0], 9)])
+        assert apply_series(D, S([1, 2, 3], 8)) == TruncatedSeries.zero(5)
+        assert apply_series(D, S([1, 2, 3], 6)) == TruncatedSeries.zero(4)
+
     @pytest.mark.parametrize("scalar", [1, Fraction(1, 2)])
     def test_scalar_coefficients_rejected(self, scalar):
         # coefficients are CurveFunction or TruncatedSeries; a scalar is not
