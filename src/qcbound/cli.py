@@ -175,6 +175,7 @@ def cmd_operator(args):
     wdisks = [d for d in residue_disks(curve, p) if d.kind == "affine_weierstrass"]
     if not wdisks:
         print("no affine Weierstrass disks at this prime")
+    code = 0
     for disk in wdisks:
         lead_val = D1.leading.value_mod_p(disk.x_bar, 0, p)
         line = f"disk {disk}: det(B) = {lead_val} mod {int(p)} (unit)"
@@ -184,8 +185,11 @@ def cmd_operator(args):
             line += f"; divided-power local operator nice: {cert.ok}"
         except DomainError as exc:
             line += f"; local chart unavailable ({exc})"
+        except PrecisionError as exc:
+            line += f"; insufficient precision ({exc})"
+            code = 1
         print(line)
-    return 0
+    return code
 
 
 def parse_disk(text, curve):

@@ -53,7 +53,7 @@ from .funcfield import (
 from .hyperelliptic import CurveModel, residue_disks
 from .padics import Prime, as_prime
 from .polys import Poly
-from .series import IntegerSeries, LaurentSeries, TruncatedSeries, combination, rational_series
+from .series import IntegerSeries, TruncatedSeries, combination, rational_series
 
 
 def default_basis(curve):
@@ -159,7 +159,7 @@ def expand_G(spec, chart):
 
     On an affine chart with rational series (every Weierstrass chart) all of
     this runs on ``IntegerSeries``, the integrands read from the chart's power
-    table (``_integer_integrand``), eta's integrand and h converted once;
+    table (``_integer_integrand``), eta's integrand and h lifted once;
     each coefficient of G becomes one Fraction at the end, with the values,
     types and truncation of the ``TruncatedSeries`` computation that the
     other charts run.
@@ -174,8 +174,7 @@ def expand_G(spec, chart):
     if integer:
         lift = IntegerSeries.of
         if any(used):
-            omega0 = LaurentSeries.from_series(_integrand(spec.basis[0], chart)).normalized()
-            omega0 = (omega0.order, lift(omega0.series))
+            omega0 = lift(_integrand(spec.basis[0], chart)).stripped()
         integrands = [_integer_integrand(chart, j, omega0) if u else None for j, u in enumerate(used)]
     else:
         def lift(s):
@@ -202,8 +201,8 @@ def expand_G(spec, chart):
 
 def _integer_integrand(chart, j, omega0):
     """omega_j/dt = x^j omega_0/dt as an ``IntegerSeries``: the stripped x^j
-    of the chart's power table times omega0 = (order, numerators) of the
-    ``_integrand`` of omega_0 stripped of its leading zeros, shifted to its
+    of the chart's power table times omega0 = (order, series), the
+    ``IntegerSeries.stripped`` ``_integrand`` of omega_0, shifted to its
     order.  That integrand fails as every ``_integrand`` of the chart does
     when f(x(t)) is known zero, and on an affine chart none has a pole.
 

@@ -26,16 +26,17 @@ whose exact divisions by positive-order pivots would.
 
 Rational series run on integers, as ``series.IntegerSeries``.  When every
 F_i is one (``weierstrass_local_annihilator`` reads 1, x, ..., x^(m-1)
-straight from the chart's power table) or a rational series, row i lies over
-the denominator of F_i and the same dynamic program runs on integer
-numerators, one ``convolve`` per product and none with a known-zero factor.
-Likewise ``compose_with_base`` of a series operator whose coefficients and V
-are all rational series writes the coefficients over one common denominator
-and V over its own, and runs the same ``_leibniz`` on the numerators; and
-``apply_series`` of such an operator to a rational F sums the G_k F^(k) on
-numerators.  Each output coefficient becomes one Fraction, at the end; curve
-functions and series over Q(sqrt d) keep the generic path, through the same
-code.
+straight from the chart's power table) or a rational series, entry (i, j)
+is the divided derivative (1/n_j!) D^{n_j} F_i of the ``IntegerSeries``, and
+the same dynamic program runs on those, one ``convolve`` per product and
+none with a known-zero factor.  Likewise ``compose_with_base`` of a series
+operator whose coefficients and V are all rational series lifts the
+coefficients over one common denominator and V over its own, and runs the
+same ``_leibniz`` on them; and ``apply_series`` of such an operator to a
+rational F sums the G_k F^(k) on them.  Each output coefficient becomes one
+Fraction, at the end; curve functions and series over Q(sqrt d) keep the
+generic path, through the same code.  No numerator is read here: the
+integer work is ``IntegerSeries``' own.
 """
 
 from dataclasses import dataclass
@@ -320,28 +321,14 @@ def annihilator_matrix(S, funcs, base="dx"):
     return rows
 
 
-def _integer_rows(S, funcs):
-    """The rows of ``annihilator_matrix`` for ``IntegerSeries`` F_i: with
-    F_i = ints / L_i, the entry (1/n!) D^n F_i has numerators C(j, n) ints[j]
-    over L_i for j >= n, known to n(F_i) - n coefficients."""
-    rows = []
-    for F in funcs:
-        row = []
-        for n in S:
-            entry = [comb(j, n) * c for j, c in enumerate(F.ints[n:], n)] if F.ints else []
-            row.append(IntegerSeries(F.den, entry if any(entry) else None, F.n - n))
-        rows.append(row)
-    return rows
-
-
 def _minor_determinants(rows):
     """All maximal minors det(A^(i)) of an m x (m+1) matrix, one per deleted column.
 
     Division-free dynamic program: dp maps a k-subset of columns to the
     determinant of the first k rows restricted to it, expanding along the last
     row; every maximal minor shares the lower levels.  Entries need only
-    ``*``, ``+``, ``-`` and unary ``-``: curve functions, series, or the
-    ``IntegerSeries`` entries of ``_integer_rows``.
+    ``*``, ``+``, ``-`` and unary ``-``: curve functions, series, or
+    ``IntegerSeries`` divided derivatives.
     """
     m = len(rows)
     ncols = len(rows[0])
@@ -372,16 +359,18 @@ def build_annihilator(S, funcs, base="dx"):
 
     D = sum_i (-1)^(i+1) (n_{m+1}!/n_i!) det(A^(i)) D^{n_i}; annihilates every
     F_i identically (bordered matrix with a repeated row).  ``IntegerSeries``
-    and rational series inputs take the integer rows of ``_integer_rows``,
-    each row over the denominator of its F_i and each minor over the product
-    of those; curve functions and series over Q(sqrt d) take the entries of
-    ``annihilator_matrix``.  Both run ``_minor_determinants`` and give the
-    same coefficients, types and truncations.
+    and rational series inputs take the entries
+    ``IntegerSeries.divided_derivative``, each row over the denominator of
+    its F_i and each minor over the product of those; curve functions and
+    series over Q(sqrt d) take the entries of ``annihilator_matrix``.  Both
+    run ``_minor_determinants`` and give the same coefficients, types and
+    truncations.
     """
     S = _index_set(S, funcs)
     if all(isinstance(F, IntegerSeries) or rational_series(F) for F in funcs):
         funcs = [F if isinstance(F, IntegerSeries) else IntegerSeries.of(F) for F in funcs]
-        minors = [minor.series() for minor in _minor_determinants(_integer_rows(S, funcs))]
+        rows = [[F.divided_derivative(n) for n in S] for F in funcs]
+        minors = [minor.series() for minor in _minor_determinants(rows)]
     else:
         minors = _minor_determinants(annihilator_matrix(S, funcs, base=base))
     if all(_is_zero_coeff(d) for d in minors):

@@ -29,9 +29,10 @@ Disk expansions fix one local parameter per residue-disk kind:
 * infinity, odd model: t = x^g / y, with x = t^-2 s(t) and y = t^-1 x^g for
   the unique unit series s solving the curve equation f(x) = t^-2 x^(2g).
 
-A polynomial is evaluated at a chart series in one way, as one dot product
-over the integer table of powers of x(t); the two coordinates that y^2 = f(x)
-defines only implicitly come from one Newton solver on that table.
+A polynomial is evaluated at a chart series in one way, as one
+``series.combination`` over the table of powers of x(t), each power stored
+once as an order and a ``series.IntegerSeries``; the two coordinates that
+y^2 = f(x) defines only implicitly come from one Newton solver on that table.
 
 Pole ledgers certify membership in H^0(X, O(n*infinity + m*W)).  Both orders
 are read from the f-power form: at infinity from the degrees of A, B, f^k and
@@ -41,15 +42,13 @@ or a factorisation of f.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from operator import add
 
 from .errors import DomainError, NonUnitError, PoleError
 from .hyperelliptic import DiskDescriptor, poly_mod, value_mod
 from .padics import as_prime, reduce_mod, valuation
-from .polys import Poly, common_denominator, convolve, poly_gcd, primitive_int, rational_roots
+from .polys import Poly, poly_gcd, primitive_int, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
-from .series import IntegerSeries, LaurentSeries, TruncatedSeries
+from .series import IntegerSeries, LaurentSeries, TruncatedSeries, combination
 
 _ONE = Poly([1])
 _HALF = Fraction(1, 2)
@@ -617,56 +616,44 @@ def ledger_general_derivative(j, deg_W=None, deg_W0=None, deg_D=None, deg_D0=Non
 
 
 class _Powers:
-    """The powers of one Laurent series x(t) on integers: the one way a
-    polynomial is evaluated at a disk series.
+    """The powers of one Laurent series x(t) as ``IntegerSeries``: the one way
+    a polynomial is evaluated at a disk series.
 
-    Power k is (order, L, X_k): the coefficient of t^(order + i) is X_k[i] / L,
-    known for i < len(X_k), with L the least common denominator; x^0 = 1 is
-    known to T coefficients.  Powers are built as the ``LaurentSeries``
-    product x^(k-1) * x of the two factors stripped of leading known zeros,
-    so order and end agree with it, and divided by the gcd of L and X_k.
-    ``eval_poly`` forms sum_k c_k X_k over one common denominator; the result
-    has the least order and the least end over the powers used, as a chain
-    of sums would.
+    Power k is stored as (order, X_k) with x^k = t^order X_k, X_k stripped of
+    leading known zeros and over its least denominator; x^0 = 1 is known to T
+    coefficients.  X_k for k >= 2 is the product of the stored X_(k-1) and
+    X_1, so order and end agree with the ``LaurentSeries`` product x^(k-1) * x.
+    ``eval_poly`` is one ``series.combination`` of the powers it uses, shifted
+    to their least order and cut at their least end, as a chain of sums
+    would be; x^1 enters it as x itself, leading zeros kept, so that the
+    least order is the one x has.
     """
 
-    __slots__ = ("T", "_powers")
+    __slots__ = ("T", "_x", "_powers")
 
     def __init__(self, x, T):
         self.T = T
-        self._powers = [(s.order, *common_denominator(s.series.coeffs))
-                        for s in (LaurentSeries(0, TruncatedSeries.one(T)), x)]
-
-    def _power(self, k):
-        powers = self._powers
-        x_order, x_den, x_ints = _stripped(powers[1])
-        while len(powers) <= k:
-            order, den, ints = _stripped(powers[-1])
-            n = min(len(ints), len(x_ints))
-            ints, den = convolve(ints, x_ints, n), den * x_den
-            g = gcd(den, *ints)
-            powers.append((order + x_order, den // g, [c // g for c in ints]))
-        return powers[k]
+        self._x = (x.order, IntegerSeries.of(x.series))
+        j, x_stripped = self._x[1].stripped()
+        self._powers = [(0, IntegerSeries.of(TruncatedSeries.one(T))), (x.order + j, x_stripped)]
 
     def power(self, k):
-        """x^k as (order, IntegerSeries), its leading known zeros moved into the order."""
-        order, den, ints = _stripped(self._power(k))
-        return order, IntegerSeries(den, ints if any(ints) else None, len(ints))
+        """x^k as its stored (order, IntegerSeries) pair."""
+        powers = self._powers
+        x_order, x = powers[1]
+        while len(powers) <= k:
+            order, xk = powers[-1]
+            powers.append((order + x_order, (xk * x).least_terms()))
+        return powers[k]
 
     def eval_poly(self, poly):
-        terms = [(c, self._power(k)) for k, c in enumerate(poly.coeffs) if c]
+        terms = [(c, self._x if k == 1 else self.power(k)) for k, c in enumerate(poly.coeffs) if c]
         if not terms:
             return LaurentSeries(0, TruncatedSeries.zero(self.T))
-        order = min(o for _, (o, _, _) in terms)
-        end = min(o + len(X) for _, (o, _, X) in terms)
-        den = lcm(*(c.denominator * L for c, (_, L, _) in terms))
-        acc = [0] * max(end - order, 0)
-        for c, (o, L, X) in terms:
-            lo, m = o - order, end - o
-            if m > 0:
-                w = c.numerator * (den // (c.denominator * L))
-                acc[lo:lo + m] = map(add, acc[lo:lo + m], map(w.__mul__, X[:m]))
-        return LaurentSeries(order, TruncatedSeries([Fraction(a, den) for a in acc]))
+        order = min(o for _, (o, _) in terms)
+        end = min(o + X.truncation for _, (o, X) in terms)
+        total = combination([(c, X.shifted(o - order, end - order)) for c, (o, X) in terms])
+        return LaurentSeries(order, total.series())
 
 
 class DiskChart(_Powers):
@@ -732,14 +719,6 @@ class DiskChart(_Powers):
     def expand(self, F):
         """Regular expansion; PoleError if F has a pole on the disk."""
         return self.laurent(F).regular_part(context=f"disk {self.disk}")
-
-
-def _stripped(power):
-    """An (order, L, X) power with its leading zero coefficients moved into
-    the order, as ``LaurentSeries.normalized`` does."""
-    order, den, ints = power
-    j = next((i for i, c in enumerate(ints) if c), len(ints))
-    return (order + j, den, ints[j:]) if j else power
 
 
 def _newton(f, x, T, e, k):

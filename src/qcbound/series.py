@@ -18,19 +18,17 @@ s conj(s) is rational.  A coefficient of any result is a ``Fraction`` exactly
 when it is rational, because ``QuadExt`` returns one when the sqrt(d) part
 cancels; no operation here inspects or changes coefficient types.
 
-``IntegerSeries`` is the one integer form of a rational series: integer
-numerators over one denominator it owns, known to n coefficients, with no
-list at all for a known zero.  Its sums, products (one ``convolve``), integer
-scales, derivatives, antiderivatives (over den * lcm(1..n)) and linear
-combinations (``combination``, over one lcm) keep the truncations of the
-same operations on ``TruncatedSeries``, and ``series()`` turns each
-coefficient into one ``Fraction`` at the end, so a computation run on it
-gives the values, types and truncations of the Fraction one.  The
-Weierstrass annihilator route runs on it from chart to D(G): the power table
-of a disk chart, the rows and minors of the annihilator, its composition
-with d/omega_0, the expansion of G and the application of the operator to
-it (``diffops``, ``coleman``).  Series over Q(sqrt d) keep the Fraction
-path.
+``IntegerSeries`` is the one integer form of a rational series, and only
+this module reads or builds its numerators: integers over one denominator
+it owns, known to n coefficients, no list at all for a known zero.  Its
+sums, products (one ``convolve``), scales, derivatives, divided derivatives,
+antiderivatives, strip of leading zeros, least terms and linear
+combinations (``combination``) keep the truncations of ``TruncatedSeries``,
+and ``series()`` turns each coefficient into one ``Fraction`` at the end,
+so a computation run on it gives the values, types and truncations of the
+Fraction one.  Disk charts keep their powers of x(t) in it, and the
+Weierstrass annihilator route runs on it from chart to D(G) (``funcfield``,
+``diffops``, ``coleman``).  Series over Q(sqrt d) keep the Fraction path.
 
 Newton polygons are lower convex hulls of the points (i, v(c_i)).  Because
 only finitely many coefficients are known, the slope <= -1 part of the hull
@@ -43,7 +41,7 @@ floor_val = INFINITY.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 from operator import add, mul
 
 from .errors import (
@@ -257,9 +255,29 @@ class IntegerSeries:
     def is_known_zero(self):
         return self.ints is None or not any(self.ints)
 
+    def stripped(self):
+        """(j, s) with self = t^j s, s without the j leading known-zero
+        coefficients, as ``LaurentSeries.normalized`` strips them; a known
+        zero strips to a series of no coefficients."""
+        ints = self.ints
+        j = self.n if ints is None else next((i for i, c in enumerate(ints) if c), self.n)
+        if not j:
+            return 0, self
+        return j, IntegerSeries(self.den, None if j == self.n else ints[j:], self.n - j)
+
+    def least_terms(self):
+        """The series over its least denominator, den and numerators divided
+        by their gcd; a known zero over 1."""
+        if self.is_known_zero():
+            return IntegerSeries(1, None, self.n)
+        g = gcd(self.den, *self.ints)
+        return self if g == 1 else IntegerSeries(self.den // g, [c // g for c in self.ints], self.n)
+
     def shifted(self, k, n):
         """t^k times the series, cut to n coefficients."""
         end = max(min(k + self.n, n), 0)
+        if not k and end == self.n:
+            return self
         ints = None if self.ints is None else ([0] * k + self.ints)[:end]
         return IntegerSeries(self.den, ints, end)
 
@@ -297,6 +315,15 @@ class IntegerSeries:
             raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
         ints = None if self.ints is None else [k * c for k, c in enumerate(self.ints[1:], 1)]
         return IntegerSeries(self.den, ints, self.n - 1)
+
+    def divided_derivative(self, k):
+        """(1/k!) (d/dt)^k of the series, over the same denominator: numerators
+        C(j, k) ints[j] for j >= k, known to n - k coefficients.  Past the
+        truncation it raises as the k-th derivative does."""
+        if k > self.n:
+            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
+        ints = None if self.ints is None else [comb(j, k) * c for j, c in enumerate(self.ints[k:], k)]
+        return IntegerSeries(self.den, ints if ints and any(ints) else None, self.n - k)
 
     def antiderivative(self, constant=0):
         """The series with derivative self and constant term ``constant``,

@@ -216,6 +216,17 @@ class TestOperator:
         out = capsys.readouterr().out
         assert "Weierstrass operator D_1: order 3 (d/omega_0 powers 0, 2, 3)" in out
 
+    def test_precision_shortfall_named_on_each_disk(self, capsys):
+        # T = 3 is too short for the derivative order 3 of S = {0, 2, 3}: each
+        # Weierstrass disk reports it on its own line, and the run exits 1
+        code = main(["operator", "--kind", "odd", "--f", "0,-1,0,1", "--p", "5", "--T", "3"])
+        out = capsys.readouterr().out
+        assert code == 1
+        lines = {line.split(":")[0]: line for line in out.splitlines() if line.startswith("disk ")}
+        assert sorted(lines) == ["disk (0,0)", "disk (1,0)", "disk (4,0)"]
+        assert all(line.endswith("; insufficient precision (truncation 3 too low for derivative order 3)")
+                   for line in lines.values())
+
 
 class TestAnalyzeDisk:
     def test_chart_only(self, tmp_path, capsys):

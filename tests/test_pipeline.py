@@ -7,10 +7,11 @@ import pytest
 from perfbench_support import perfbench_module, workload_cases
 
 from qcbound import funcfield, pipeline
-from qcbound.coleman import ColemanSpec, DiskConstants
+from qcbound.coleman import ColemanSpec, DiskConstants, expand_G
+from qcbound.diffops import apply_series, compose_with_base, local_operator, weierstrass_local_annihilator
 from qcbound.errors import DomainError, PrecisionError
-from qcbound.funcfield import CurveFunction, ledger_of
-from qcbound.hyperelliptic import CurveModel, DiskDescriptor, count_points_fp
+from qcbound.funcfield import CurveFunction, chart_for, ledger_of
+from qcbound.hyperelliptic import CurveModel, DiskDescriptor, count_points_fp, residue_disks
 from qcbound.padics import kappa
 from qcbound.pipeline import (
     PipelineResult,
@@ -24,6 +25,7 @@ from qcbound.pipeline import (
     uses_order2_shape,
 )
 from qcbound.polys import Poly
+from qcbound.series import slope_transfer_check
 
 
 def elliptic_spec(f_coeffs, a=Fraction(2), b=Fraction(3), p=5, T=20):
@@ -491,6 +493,33 @@ class TestSpecPlan:
         spec = elliptic_spec([1, 1, 0, 1], a=Fraction(1), b=Fraction(3))
         with pytest.raises(DomainError, match=re.escape(f"{disk} is not a residue disk of this curve mod 5")):
             analyze_disk(spec, disk)
+
+
+class TestSlopeTransfer:
+    @pytest.mark.parametrize("workload, disks", [("genus2_even_p7", 7), ("genus1_batch", 77)])
+    def test_every_passing_affine_disk_satisfies_slope_transfer(self, workload, disks):
+        # the slope-transfer inequality M(G) < kappa_p (N + min S(D(G))) as an
+        # oracle: G expanded on the disk's chart, D(G) the disk's local
+        # operator applied to it, both certified against the plan's input floor
+        checked = 0
+        for case in workload_cases(workload, 3):
+            spec = case.spec
+            plan = pipeline.SpecPlan(spec, residue_disks(spec.curve, spec.p))
+            for disk in residue_disks(spec.curve, spec.p):
+                if disk.kind == "infinite" or not analyze_disk(plan, disk).ok:
+                    continue
+                chart = chart_for(spec.curve, disk, spec.p, spec.T)
+                D = plan.operators[disk.kind].D
+                if D is None:
+                    L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
+                else:
+                    L = local_operator(D, chart)
+                G = expand_G(spec, chart)
+                DG = apply_series(L, G)
+                assert slope_transfer_check(G, DG, L.order, spec.p, plan.floor, plan.floor,
+                                            val=chart.valuation_of), (case.spec_id, str(disk))
+                checked += 1
+        assert checked == disks
 
 
 class TestBenchmarkProbeTargets:

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qcbound.diffops import _derivation_chain, annihilator_matrix
 from qcbound.errors import (
     IndeterminatePolygonError,
     NonUnitError,
@@ -12,6 +16,7 @@ from qcbound.errors import (
 from qcbound.padics import INFINITY, kappa
 from qcbound.quadext import PAdicSqrtEmbedding, QuadExt
 from qcbound.series import (
+    IntegerSeries,
     LaurentSeries,
     TruncatedSeries,
     min_valuation_index,
@@ -237,3 +242,91 @@ class TestSlopeTransfer:
                     gap = factorial_valuation(M, p) - factorial_valuation(i, p)
                     if valuation(ci, p) <= vM + gap:
                         assert kp * i >= M
+
+
+# -- IntegerSeries strip, least terms and divided derivatives ------------------
+
+
+def same_series(got, want):
+    """Equal values, truncations and coefficient types."""
+    return got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+
+
+# leading zeros, a few coefficients and trailing known zeros, often all zero
+integer_series = st.builds(
+    lambda lead, body, tail, den, common: IntegerSeries(
+        den, [0] * lead + [common * c for c in body] + [0] * tail, lead + len(body) + tail),
+    st.integers(0, 4), st.lists(st.integers(-30, 30), max_size=6), st.integers(0, 3),
+    st.integers(1, 60), st.integers(1, 12))
+KNOWN_ZERO = IntegerSeries(7, None, 4)
+ALL_ZERO_LIST = IntegerSeries(5, [0, 0, 0], 3)
+LEADING_ZEROS = IntegerSeries(6, [0, 0, 4, -9, 2], 5)
+
+
+class TestIntegerSeriesForms:
+    @settings(max_examples=150, deadline=None)
+    @given(integer_series)
+    @example(KNOWN_ZERO)
+    @example(ALL_ZERO_LIST)
+    @example(LEADING_ZEROS)
+    @example(IntegerSeries(1, [], 0))
+    def test_stripped_is_laurent_normalized(self, s):
+        j, rest = s.stripped()
+        want = LaurentSeries(0, s.series()).normalized()
+        assert j == want.order
+        assert same_series(rest.series(), want.series)
+        assert rest.truncation == s.truncation - j
+        assert rest.is_known_zero() == (rest.truncation == 0 or s.is_known_zero())
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_series)
+    @example(KNOWN_ZERO)
+    @example(ALL_ZERO_LIST)
+    @example(LEADING_ZEROS)
+    def test_least_terms_keeps_the_series(self, s):
+        reduced = s.least_terms()
+        assert same_series(reduced.series(), s.series())
+        if s.is_known_zero():
+            assert (reduced.den, reduced.ints) == (1, None)
+        else:
+            assert gcd(reduced.den, *reduced.ints) == 1
+
+    def test_least_terms_divides_out_the_gcd(self):
+        assert LEADING_ZEROS.least_terms() is LEADING_ZEROS
+        halves = IntegerSeries(12, [6, 0, -18], 3).least_terms()
+        assert (halves.den, halves.ints, halves.n) == (2, [1, 0, -3], 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integer_series, st.integers(0, 8))
+    @example(KNOWN_ZERO, 2)
+    @example(KNOWN_ZERO, 4)
+    @example(KNOWN_ZERO, 5)
+    @example(ALL_ZERO_LIST, 1)
+    @example(LEADING_ZEROS, 2)
+    @example(LEADING_ZEROS, 5)
+    @example(LEADING_ZEROS, 6)
+    def test_divided_derivative_is_the_scaled_derivative_chain(self, s, n):
+        # annihilator_matrix's entry (1/n!) D^n F, the chain of plain derivatives
+        F = s.series()
+        try:
+            want = _derivation_chain(F, n, "dx")[n].scale(Fraction(1, factorial(n)))
+        except PrecisionError:
+            with pytest.raises(PrecisionError):
+                s.divided_derivative(n)
+            assert n > s.truncation
+            return
+        got = s.divided_derivative(n)
+        assert same_series(got.series(), want)
+        assert got.is_known_zero() == want.is_known_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_series, st.integers(0, 4), st.integers(1, 4))
+    def test_divided_derivatives_are_annihilator_matrix_entries(self, s, a, gap):
+        F = s.series()
+        orders = [a, a + gap]
+        if F.truncation <= orders[-1]:
+            with pytest.raises(PrecisionError):
+                annihilator_matrix(orders, [F])
+            return
+        (row,) = annihilator_matrix(orders, [F])
+        assert all(same_series(s.divided_derivative(n).series(), entry) for n, entry in zip(orders, row))
