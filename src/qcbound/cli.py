@@ -197,11 +197,13 @@ def parse_disk(text, curve):
         if text not in curve.infinite_points():
             raise DomainError(f"this model's infinite disks are {curve.infinite_points()}")
         return DiskDescriptor("infinite", label=text)
+    # "(x,y)" is how reports print a disk
+    body = text[1:-1] if text[:1] == "(" and text[-1:] == ")" else text
     try:
-        x_s, y_s = text.split(",")
+        x_s, y_s = body.split(",")
         x_bar, y_bar = int(x_s), int(y_s)
     except ValueError as exc:
-        raise DomainError("disk must be 'x,y' or inf/inf+/inf-") from exc
+        raise DomainError("disk must be 'x,y', '(x,y)' or inf/inf+/inf-") from exc
     kind = "affine_weierstrass" if y_bar == 0 else "affine_nonweierstrass"
     return DiskDescriptor(kind, x_bar, y_bar)
 
@@ -324,7 +326,7 @@ def build_parser():
     sp = sub.add_parser("analyze-disk", help="chart and (with --spec) zero data of one disk")
     add_curve_args(sp)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--disk", required=True, help="'x,y' or inf / inf+ / inf-")
+    sp.add_argument("--disk", required=True, help="'x,y' or '(x,y)', as reports print it, or inf / inf+ / inf-")
     sp.add_argument("--spec", help="pipeline spec file (JSON)")
     sp.add_argument("--T", type=int)
     sp.set_defaults(func=cmd_analyze_disk)

@@ -16,12 +16,11 @@ i <= 2g-1 on odd ones), a rational matrix/vector of constants, an optional
 third-kind differential eta given as a dx-quotient, and an algebraic h.
 Integrands are assembled as omega/dt, so expansions exist on Weierstrass
 disks too, where the dx-quotients themselves have poles but the
-differentials do not.  On an affine chart with rational series, every
-Weierstrass chart among them, ``expand_G`` runs on ``series.IntegerSeries``:
-omega_j/dt is x^j from the chart's power table times the one series
-omega_0/dt, and the single and double integrals, the row sums, eta and h are
-integer products, antiderivatives and linear combinations; other charts run
-the same steps on ``TruncatedSeries``.
+differentials do not.  On an affine chart ``expand_G`` reads omega_j/dt as
+x^j from the chart's power table times the one series omega_0/dt; the single
+and double integrals, the row sums, eta and h are series products,
+antiderivatives and linear combinations, on integer numerators wherever the
+chart's series are rational (``series`` keeps that form, no caller picks it).
 
 The algebraic image D(G) of an operator D = sum g_k delta^k with algebraic
 coefficients is derived from D itself (``algebraic_image``).  G is written as
@@ -53,7 +52,7 @@ from .funcfield import (
 from .hyperelliptic import CurveModel, residue_disks
 from .padics import Prime, as_prime
 from .polys import Poly
-from .series import IntegerSeries, TruncatedSeries, combination, rational_series
+from .series import TruncatedSeries, combination
 
 
 def default_basis(curve):
@@ -157,12 +156,10 @@ def expand_G(spec, chart):
     ``expand_double_integral`` terms would have.  The row sums and G itself
     are linear combinations (``series.combination``).
 
-    On an affine chart with rational series (every Weierstrass chart) all of
-    this runs on ``IntegerSeries``, the integrands read from the chart's power
-    table (``_integer_integrand``), eta's integrand and h lifted once;
-    each coefficient of G becomes one Fraction at the end, with the values,
-    types and truncation of the ``TruncatedSeries`` computation that the
-    other charts run.
+    On an affine chart the integrands are read from the chart's power table
+    (``_power_integrand``), with the values, types and truncations that
+    ``_integrand`` gives them; an infinite chart builds each one with
+    ``_integrand``.
     """
     consts = spec.constants_for(chart.disk)
     # omega_j is an outer integrand when row j is used, and I_j is needed when
@@ -170,15 +167,11 @@ def expand_G(spec, chart):
     as_outer = [any(row) for row in spec.a_matrix]
     as_inner = [any(col) or a for col, a in zip(zip(*spec.a_matrix), spec.a_vector)]
     used = [o or i for o, i in zip(as_outer, as_inner)]
-    integer = chart.disk.kind != "infinite" and rational_series(chart.y.series)
-    if integer:
-        lift = IntegerSeries.of
+    if chart.disk.kind != "infinite":
         if any(used):
-            omega0 = lift(_integrand(spec.basis[0], chart)).stripped()
-        integrands = [_integer_integrand(chart, j, omega0) if u else None for j, u in enumerate(used)]
+            omega0 = _integrand(spec.basis[0], chart).stripped()
+        integrands = [_power_integrand(chart, j, omega0) if u else None for j, u in enumerate(used)]
     else:
-        def lift(s):
-            return s
         integrands = [_integrand(omega, chart) if u else None for omega, u in zip(spec.basis, used)]
     singles = [integrand.antiderivative(c) if i else None
                for integrand, i, c in zip(integrands, as_inner, consts.singles)]
@@ -190,21 +183,20 @@ def expand_G(spec, chart):
             terms.append((1, (outer * inner).antiderivative(constant)))
     terms += [(a, single) for a, single in zip(spec.a_vector, singles) if a]
     if spec.eta is not None and spec.eta:
-        terms.append((1, lift(_integrand(spec.eta, chart)).antiderivative(consts.eta)))
+        terms.append((1, _integrand(spec.eta, chart).antiderivative(consts.eta)))
     if spec.h:
-        terms.append((1, lift(chart.expand(spec.h))))
+        terms.append((1, chart.expand(spec.h)))
     if not terms:
         return TruncatedSeries.zero(chart.T)
-    G = combination(terms)
-    return G.series() if integer else G
+    return combination(terms)
 
 
-def _integer_integrand(chart, j, omega0):
-    """omega_j/dt = x^j omega_0/dt as an ``IntegerSeries``: the stripped x^j
-    of the chart's power table times omega0 = (order, series), the
-    ``IntegerSeries.stripped`` ``_integrand`` of omega_0, shifted to its
-    order.  That integrand fails as every ``_integrand`` of the chart does
-    when f(x(t)) is known zero, and on an affine chart none has a pole.
+def _power_integrand(chart, j, omega0):
+    """omega_j/dt = x^j omega_0/dt: the stripped x^j of the chart's power
+    table times omega0 = (order, series), the stripped ``_integrand`` of
+    omega_0, shifted to its order.  That integrand fails as every
+    ``_integrand`` of the chart does when f(x(t)) is known zero, and on an
+    affine chart none has a pole.
 
     ``_integrand`` reads x^j/y as 0 + (x^j/f) y, whose zero part is known to
     t^T, so it knows omega_j/dt to t^(T + ord dx/dt) at most; the product is

@@ -24,19 +24,14 @@ shared across all minors (a subset dynamic program over columns); over
 truncated series this loses no precision, unlike fraction-free elimination,
 whose exact divisions by positive-order pivots would.
 
-Rational series run on integers, as ``series.IntegerSeries``.  When every
-F_i is one (``weierstrass_local_annihilator`` reads 1, x, ..., x^(m-1)
-straight from the chart's power table) or a rational series, entry (i, j)
-is the divided derivative (1/n_j!) D^{n_j} F_i of the ``IntegerSeries``, and
-the same dynamic program runs on those, one ``convolve`` per product and
-none with a known-zero factor.  Likewise ``compose_with_base`` of a series
-operator whose coefficients and V are all rational series lifts the
-coefficients over one common denominator and V over its own, and runs the
-same ``_leibniz`` on them; and ``apply_series`` of such an operator to a
-rational F sums the G_k F^(k) on them.  Each output coefficient becomes one
-Fraction, at the end; curve functions and series over Q(sqrt d) keep the
-generic path, through the same code.  No numerator is read here: the
-integer work is ``IntegerSeries``' own.
+When every F_i is a series (``weierstrass_local_annihilator`` reads 1, x,
+..., x^(m-1) straight from the chart's power table), entry (i, j) is the
+divided derivative (1/n_j!) D^{n_j} F_i, and curve functions take the
+derivative chain of ``annihilator_matrix``.  Series arithmetic here is
+written once, for whatever series it is given: a rational series keeps
+integer numerators inside ``series`` (one ``convolve`` per product, none
+with a known-zero factor), so the minors, ``compose_with_base``'s Leibniz
+terms and ``apply_series``' sum of the G_k F^(k) build no Fraction.
 """
 
 from dataclasses import dataclass
@@ -53,7 +48,7 @@ from .errors import (
 from .funcfield import CurveFunction
 from .hyperelliptic import residue_disks
 from .padics import INFINITY, as_prime, reduce_mod, valuation
-from .series import IntegerSeries, LaurentSeries, TruncatedSeries, rational_series
+from .series import LaurentSeries, TruncatedSeries, combination
 
 
 class DifferentialOperator:
@@ -105,7 +100,7 @@ class DifferentialOperator:
 def _is_zero_coeff(c):
     if isinstance(c, LaurentSeries):
         c = c.series
-    if isinstance(c, (TruncatedSeries, IntegerSeries)):
+    if isinstance(c, TruncatedSeries):
         return c.is_known_zero()
     return not c
 
@@ -140,11 +135,8 @@ def apply_series(D, F):
     i-th derivative is the plain series derivative.  The result precision is
     T(F) - order, as each derivative costs one coefficient, capped by the
     truncations of the coefficients; an operator whose coefficients are all
-    known zero gives a known-zero series of that precision.  When F and
-    every nonzero coefficient are rational series, the coefficients are
-    written over one common denominator and F over its own, and the sum of
-    the G_k F^(k) runs on their integer numerators, one ``convolve`` per
-    term; each output coefficient becomes one Fraction at the end.
+    known zero gives a known-zero series of that precision.  The sum of
+    the G_k F^(k) is one ``series.combination``.
     """
     if D.base != "dx":
         raise DomainError("series application of a d/omega0 operator needs a chart")
@@ -159,16 +151,8 @@ def apply_series(D, F):
     if not terms:
         known = [g.truncation for g in D.coeffs if isinstance(g, TruncatedSeries)]
         return TruncatedSeries.zero(min(F.truncation - D.order, *known))
-    coeffs = [g for _, g in terms]
-    integer = all(map(rational_series, (F, *coeffs)))
-    if integer:
-        coeffs, F = IntegerSeries.over_one_denominator(coeffs), IntegerSeries.of(F)
     chain = _derivation_chain(F, terms[-1][0], "dx")
-    out = None
-    for (k, _), g in zip(terms, coeffs):
-        term = g * chain[k]
-        out = term if out is None else out + term
-    return out.series() if integer else out
+    return combination([(1, g * chain[k]) for k, g in terms])
 
 
 def _chart_derivation(chart, base):
@@ -223,7 +207,7 @@ def local_operator(D, chart):
         L[0] = chart.laurent(g) if isinstance(g, CurveFunction) else LaurentSeries.from_series(g)
     return DifferentialOperator._untrimmed(
         [TruncatedSeries.zero(chart.T) if G is None
-         else TruncatedSeries(G.regular_part(context=f"disk {chart.disk}").coeffs[:chart.T])
+         else G.regular_part(context=f"disk {chart.disk}").shifted(0, chart.T)
          for G in L]
     )
 
@@ -279,7 +263,7 @@ def _derivation_chain(F, max_order, base):
     chain = [F]
     for _ in range(max_order):
         cur = chain[-1]
-        if isinstance(cur, (TruncatedSeries, LaurentSeries, IntegerSeries)):
+        if isinstance(cur, (TruncatedSeries, LaurentSeries)):
             chain.append(cur.derivative())
         elif base == "dx":
             chain.append(cur.d_dx())
@@ -298,7 +282,7 @@ def _index_set(S, funcs):
     if len(S) != len(funcs) + 1:
         raise DomainError(f"need |S| = m+1 = {len(funcs) + 1}, got {len(S)}")
     for F in funcs:
-        if isinstance(F, (TruncatedSeries, IntegerSeries)) and F.truncation <= S[-1]:
+        if isinstance(F, TruncatedSeries) and F.truncation <= S[-1]:
             raise PrecisionError(
                 f"truncation {F.truncation} too low for derivative order {S[-1]}",
                 needed=S[-1] + 1,
@@ -327,8 +311,7 @@ def _minor_determinants(rows):
     Division-free dynamic program: dp maps a k-subset of columns to the
     determinant of the first k rows restricted to it, expanding along the last
     row; every maximal minor shares the lower levels.  Entries need only
-    ``*``, ``+``, ``-`` and unary ``-``: curve functions, series, or
-    ``IntegerSeries`` divided derivatives.
+    ``*``, ``+``, ``-`` and unary ``-``: curve functions or series.
     """
     m = len(rows)
     ncols = len(rows[0])
@@ -358,21 +341,16 @@ def build_annihilator(S, funcs, base="dx"):
     """Nice-candidate annihilator of F_1..F_m from the index set S.
 
     D = sum_i (-1)^(i+1) (n_{m+1}!/n_i!) det(A^(i)) D^{n_i}; annihilates every
-    F_i identically (bordered matrix with a repeated row).  ``IntegerSeries``
-    and rational series inputs take the entries
-    ``IntegerSeries.divided_derivative``, each row over the denominator of
-    its F_i and each minor over the product of those; curve functions and
-    series over Q(sqrt d) take the entries of ``annihilator_matrix``.  Both
-    run ``_minor_determinants`` and give the same coefficients, types and
-    truncations.
+    F_i identically (bordered matrix with a repeated row).  Series inputs
+    take the entries ``TruncatedSeries.divided_derivative``, curve functions
+    those of ``annihilator_matrix``; both run ``_minor_determinants``.
     """
     S = _index_set(S, funcs)
-    if all(isinstance(F, IntegerSeries) or rational_series(F) for F in funcs):
-        funcs = [F if isinstance(F, IntegerSeries) else IntegerSeries.of(F) for F in funcs]
+    if all(isinstance(F, TruncatedSeries) for F in funcs):
         rows = [[F.divided_derivative(n) for n in S] for F in funcs]
-        minors = [minor.series() for minor in _minor_determinants(rows)]
     else:
-        minors = _minor_determinants(annihilator_matrix(S, funcs, base=base))
+        rows = annihilator_matrix(S, funcs, base=base)
+    minors = _minor_determinants(rows)
     if all(_is_zero_coeff(d) for d in minors):
         raise DegenerateOperatorError(
             "all maximal minors vanish: the input functions are linearly dependent"
@@ -456,11 +434,7 @@ def compose_with_base(D1, base, chart=None):
     result's niceness must be re-checked where y is not a unit (Weierstrass
     disks flag this).  For series coefficients, which are already written in
     a disk coordinate t (d/dx there means d/dt), pass the disk's chart:
-    m = V, the expansion of y / (dx/dt).  When V and every g_i are rational
-    series (always so on a Weierstrass chart), the g_i are written over one
-    common denominator and V over its own, ``_leibniz`` runs on their integer
-    numerators, and each output coefficient becomes one Fraction at the end;
-    coefficients, types and truncations are those of the Fraction path.
+    m = V, the expansion of y / (dx/dt).
     """
     if base == D1.base:
         return DifferentialOperator([_zero_like(D1.leading), *D1.coeffs], base=D1.base)
@@ -472,12 +446,7 @@ def compose_with_base(D1, base, chart=None):
     elif chart is None:
         raise DomainError("series coefficients need the chart of their disk")
     else:
-        V = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
-        if all(map(rational_series, (V, *D1.coeffs))):
-            coeffs = IntegerSeries.over_one_denominator(D1.coeffs)
-            out = [e if e is None else e.series() for e in _leibniz(coeffs, IntegerSeries.of(V))]
-        else:
-            out = _leibniz(D1.coeffs, V)
+        out = _leibniz(D1.coeffs, _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}"))
     # the nonzero leading g_N reaches every slot but the first
     out[0] = _zero_like(D1.leading)
     return DifferentialOperator(out, base="dx")

@@ -31,8 +31,9 @@ Disk expansions fix one local parameter per residue-disk kind:
 
 A polynomial is evaluated at a chart series in one way, as one
 ``series.combination`` over the table of powers of x(t), each power stored
-once as an order and a ``series.IntegerSeries``; the two coordinates that
-y^2 = f(x) defines only implicitly come from one Newton solver on that table.
+once as an order and a series stripped of leading zeros; the two
+coordinates that y^2 = f(x) defines only implicitly come from one Newton
+solver on that table.
 
 Pole ledgers certify membership in H^0(X, O(n*infinity + m*W)).  Both orders
 are read from the f-power form: at infinity from the degrees of A, B, f^k and
@@ -48,7 +49,7 @@ from .hyperelliptic import DiskDescriptor, poly_mod, value_mod
 from .padics import as_prime, reduce_mod, valuation
 from .polys import Poly, poly_gcd, primitive_int, rational_roots
 from .quadext import PAdicSqrtEmbedding, QuadExt, rational_sqrt
-from .series import IntegerSeries, LaurentSeries, TruncatedSeries, combination
+from .series import LaurentSeries, TruncatedSeries, combination
 
 _ONE = Poly([1])
 _HALF = Fraction(1, 2)
@@ -616,34 +617,34 @@ def ledger_general_derivative(j, deg_W=None, deg_W0=None, deg_D=None, deg_D0=Non
 
 
 class _Powers:
-    """The powers of one Laurent series x(t) as ``IntegerSeries``: the one way
-    a polynomial is evaluated at a disk series.
+    """The powers of one Laurent series x(t): the one way a polynomial is
+    evaluated at a disk series.
 
-    Power k is stored as (order, X_k) with x^k = t^order X_k, X_k stripped of
-    leading known zeros and over its least denominator; x^0 = 1 is known to T
-    coefficients.  X_k for k >= 2 is the product of the stored X_(k-1) and
-    X_1, so order and end agree with the ``LaurentSeries`` product x^(k-1) * x.
-    ``eval_poly`` is one ``series.combination`` of the powers it uses, shifted
-    to their least order and cut at their least end, as a chain of sums
-    would be; x^1 enters it as x itself, leading zeros kept, so that the
-    least order is the one x has.
+    Power k is stored as (order, X_k) with x^k = t^order X_k and X_k stripped
+    of leading known zeros; x^0 = 1 is known to T coefficients.  X_k for
+    k >= 2 is the product of the stored X_(k-1) and X_1, so order and end
+    agree with the ``LaurentSeries`` product x^(k-1) * x.  ``eval_poly`` is
+    one ``series.combination`` of the powers it uses, shifted to their least
+    order and cut at their least end, as a chain of sums would be; x^1
+    enters it as x itself, leading zeros kept, so that the least order is
+    the one x has.
     """
 
     __slots__ = ("T", "_x", "_powers")
 
     def __init__(self, x, T):
         self.T = T
-        self._x = (x.order, IntegerSeries.of(x.series))
-        j, x_stripped = self._x[1].stripped()
-        self._powers = [(0, IntegerSeries.of(TruncatedSeries.one(T))), (x.order + j, x_stripped)]
+        self._x = (x.order, x.series)
+        j, x_stripped = x.series.stripped()
+        self._powers = [(0, TruncatedSeries.one(T)), (x.order + j, x_stripped)]
 
     def power(self, k):
-        """x^k as its stored (order, IntegerSeries) pair."""
+        """x^k as its stored (order, series) pair."""
         powers = self._powers
         x_order, x = powers[1]
         while len(powers) <= k:
             order, xk = powers[-1]
-            powers.append((order + x_order, (xk * x).least_terms()))
+            powers.append((order + x_order, xk * x))
         return powers[k]
 
     def eval_poly(self, poly):
@@ -652,8 +653,7 @@ class _Powers:
             return LaurentSeries(0, TruncatedSeries.zero(self.T))
         order = min(o for _, (o, _) in terms)
         end = min(o + X.truncation for _, (o, X) in terms)
-        total = combination([(c, X.shifted(o - order, end - order)) for c, (o, X) in terms])
-        return LaurentSeries(order, total.series())
+        return LaurentSeries(order, combination([(c, X.shifted(o - order, end - order)) for c, (o, X) in terms]))
 
 
 class DiskChart(_Powers):

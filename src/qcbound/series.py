@@ -3,32 +3,29 @@
 A ``TruncatedSeries`` stores exact coefficients c_0 .. c_{T-1} and means "the
 series is known modulo t^T".  Arithmetic tracks precision: sums and products
 hold the minimum of the operand truncations, differentiation loses one order,
-formal integration gains one.  Coefficients are ``Fraction`` (an ``int`` is
-read as one) or ``quadext.QuadExt``, whose sqrt(d) part is never zero;
-valuation-dependent operations take a valuation callable for that reason.
+formal integration gains one.  Coefficients read through ``coeffs`` are
+``Fraction`` (an ``int`` is read as one) or ``quadext.QuadExt``, whose
+sqrt(d) part is never zero; valuation-dependent operations take a valuation
+callable for that reason.
 
-Products and inverses run on integers.  A product writes each factor over its
-least common denominator (a Q(sqrt d) factor as two integer lists, rational
-and sqrt(d) parts) and takes one ``polys.convolve`` per integer product;
-(u + v sqrt d)(u' + v' sqrt d) = (uu' + d vv') + (uv' + vu') sqrt d takes
-three.  An inverse runs the recurrence 1/S = sum_m W_m t^m / S_0^(m+1),
-W_0 = 1, W_m = -sum_k S_k S_0^(k-1) W_(m-k), on the integer numerators S of
-a rational series, and 1/s = conj(s) / (s conj(s)) over Q(sqrt d), where
-s conj(s) is rational.  A coefficient of any result is a ``Fraction`` exactly
-when it is rational, because ``QuadExt`` returns one when the sqrt(d) part
-cancels; no operation here inspects or changes coefficient types.
+A series whose coefficients are all rational keeps them as integer
+numerators over one positive denominator it owns, in least terms, with no
+list at all for a known zero.  Its sums, products (one ``polys.convolve``),
+scales, derivatives, divided derivatives, antiderivatives, inverse, square
+root, strip, shift and linear combinations (``combination``) run on those
+integers, and ``coeffs`` builds the Fractions once, when first read.  An
+inverse runs the recurrence 1/S = sum_m W_m t^m / S_0^(m+1), W_0 = 1,
+W_m = -sum_k S_k S_0^(k-1) W_(m-k), on the numerators S.  Least terms make
+the form canonical, so equal rational series have equal numerators.
 
-``IntegerSeries`` is the one integer form of a rational series, and only
-this module reads or builds its numerators: integers over one denominator
-it owns, known to n coefficients, no list at all for a known zero.  Its
-sums, products (one ``convolve``), scales, derivatives, divided derivatives,
-antiderivatives, strip of leading zeros, least terms and linear
-combinations (``combination``) keep the truncations of ``TruncatedSeries``,
-and ``series()`` turns each coefficient into one ``Fraction`` at the end,
-so a computation run on it gives the values, types and truncations of the
-Fraction one.  Disk charts keep their powers of x(t) in it, and the
-Weierstrass annihilator route runs on it from chart to D(G) (``funcfield``,
-``diffops``, ``coleman``).  Series over Q(sqrt d) keep the Fraction path.
+A series with a ``QuadExt`` coefficient keeps its coefficient tuple.  A
+product with one writes each factor over its least common denominator as two
+integer lists, rational and sqrt(d) parts, and takes one ``convolve`` per
+integer product: (u + v sqrt d)(u' + v' sqrt d) = (uu' + d vv') +
+(uv' + vu') sqrt d takes three.  Over Q(sqrt d), 1/s = conj(s) /
+(s conj(s)), where s conj(s) is rational.  A result whose sqrt(d) parts all
+cancel is rational and takes the integer form, so a coefficient is a
+``Fraction`` exactly when it is rational; no caller picks a form.
 
 Newton polygons are lower convex hulls of the points (i, v(c_i)).  Because
 only finitely many coefficients are known, the slope <= -1 part of the hull
@@ -52,30 +49,41 @@ from .errors import (
     PrecisionError,
 )
 from .padics import INFINITY, as_prime, kappa, valuation
-from .polys import common_denominator, convolve, rational_convolve
+from .polys import common_denominator, convolve
 from .quadext import QuadExt
+
+_ZERO = Fraction(0)
 
 
 class TruncatedSeries:
-    """Finite-precision formal power series; immutable."""
+    """Finite-precision formal power series; immutable.
 
-    __slots__ = ("coeffs",)
+    A rational series is ``_ints[i] / _den`` for i < truncation, with
+    ``_ints`` None for a known zero; ``_coeffs`` caches its Fractions once
+    read.  A series with a ``QuadExt`` coefficient has ``_den`` None and
+    its coefficients in ``_coeffs``.
+    """
+
+    __slots__ = ("truncation", "_den", "_ints", "_coeffs")
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(c if isinstance(c, (Fraction, QuadExt)) else Fraction(c) for c in coeffs)
+        self.truncation, self._coeffs = len(coeffs), coeffs
+        if any(isinstance(c, QuadExt) for c in coeffs):
+            self._den = self._ints = None
+        else:
+            den, ints = common_denominator(coeffs)
+            self._den, self._ints = den, ints if any(ints) else None
 
     @classmethod
     def from_polynomial(cls, coeffs, truncation):
         """Series of a polynomial, padded with exact zeros up to truncation."""
-        coeffs = list(coeffs)
-        if len(coeffs) > truncation:
-            coeffs = coeffs[:truncation]
-        return cls([Fraction(c) if isinstance(c, int) else c for c in coeffs]
-                   + [Fraction(0)] * (truncation - len(coeffs)))
+        coeffs = list(coeffs)[:truncation]
+        return cls(coeffs + [_ZERO] * (truncation - len(coeffs)))
 
     @classmethod
     def zero(cls, truncation):
-        return cls([Fraction(0)] * truncation)
+        return _integer(1, None, truncation)
 
     @classmethod
     def one(cls, truncation):
@@ -84,26 +92,37 @@ class TruncatedSeries:
     # -- structure ------------------------------------------------------------
 
     @property
-    def truncation(self):
-        return len(self.coeffs)
+    def coeffs(self):
+        if self._coeffs is None:
+            den, ints = self._den, self._ints
+            if ints is None:
+                self._coeffs = (_ZERO,) * self.truncation
+            elif den == 1:
+                self._coeffs = tuple(map(Fraction, ints))
+            else:
+                self._coeffs = tuple(Fraction(c, den) for c in ints)
+        return self._coeffs
 
     def coefficient(self, i):
         """c_i; raises PrecisionError when i is beyond the truncation order."""
         if i < 0:
             raise IndexError("negative coefficient index")
-        if i >= len(self.coeffs):
+        if i >= self.truncation:
             raise PrecisionError(
-                f"coefficient {i} not known at truncation {len(self.coeffs)}",
+                f"coefficient {i} not known at truncation {self.truncation}",
                 needed=i + 1,
             )
         return self.coeffs[i]
 
     def is_known_zero(self):
-        return all(not c for c in self.coeffs)
+        # a QuadExt coefficient is never zero
+        return self._den is not None and self._ints is None
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
+        if self._den is not None and other._den is not None:
+            return (self.truncation, self._den, self._ints) == (other.truncation, other._den, other._ints)
         return self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -116,81 +135,209 @@ class TruncatedSeries:
             if upto > n:
                 raise PrecisionError(f"only {n} shared coefficients known", needed=upto)
             n = upto
-        return all(self.coeffs[i] == other.coeffs[i] for i in range(n))
+        return self.shifted(0, n) == other.shifted(0, n)
+
+    def _lead(self):
+        """Index of the first nonzero coefficient; the truncation when none is."""
+        coeffs = self._ints if self._den is not None else self._coeffs
+        if coeffs is None:
+            return self.truncation
+        return next((i for i, c in enumerate(coeffs) if c), self.truncation)
+
+    def stripped(self):
+        """(j, s) with self = t^j s and s without the j leading known-zero
+        coefficients; a known zero strips to a series of no coefficients."""
+        j = self._lead()
+        return j, self.shifted(-j, self.truncation - j)
+
+    def shifted(self, k, n):
+        """t^k times the series, cut to n coefficients; a negative k drops the
+        first -k coefficients."""
+        end = max(min(k + self.truncation, n), 0)
+        if not k and end == self.truncation:
+            return self
+        start = max(-k, 0)
+        if self._den is None:
+            return TruncatedSeries(((_ZERO,) * k + self._coeffs[start:])[:end])
+        ints = self._ints
+        if ints is None:
+            return _raw(1, None, end)
+        # a dropped nonzero coefficient may take a common factor with it
+        dropped = end < k + self.truncation or any(ints[:start])
+        ints = ([0] * k + ints[start:])[:end]
+        return _integer(self._den, ints, end) if dropped else _raw(self._den, ints, end)
 
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries([self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        n = min(self.truncation, other.truncation)
+        if self._den is None or other._den is None:
+            return TruncatedSeries(map(add, self.coeffs[:n], other.coeffs[:n]))
+        if other._ints is None:
+            return self.shifted(0, n)
+        if self._ints is None:
+            return other.shifted(0, n)
+        if self._den == other._den:
+            return _integer(self._den, list(map(add, self._ints, other._ints)), n)
+        den = lcm(self._den, other._den)
+        ra, rb = den // self._den, den // other._den
+        return _integer(den, [ra * a + rb * b for a, b in zip(self._ints, other._ints)], n)
 
     def __neg__(self):
-        return TruncatedSeries([-c for c in self.coeffs])
+        if self._den is None:
+            return TruncatedSeries([-c for c in self._coeffs])
+        return _raw(self._den, None if self._ints is None else [-c for c in self._ints], self.truncation)
 
     def __sub__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries([self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return self + -other
 
     def __mul__(self, other):
+        """The product.  A constant factor (no nonzero coefficient past index
+        0) scales the other one instead, and a factor exactly 1 (V =
+        1/(dx/dt) on a chart t = x - x0) returns the other, cut to length."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(_product(self.coeffs, other.coeffs, n))
+        n = min(self.truncation, other.truncation)
+        for const, rest in ((self, other), (other, self)):
+            c = const._constant(n)
+            if c is not None:
+                rest = rest.shifted(0, n)
+                return rest if c == 1 else rest.scale(c)
+        if self._den is None or other._den is None:
+            return _quadratic_product(self, other, n)
+        return _integer(self._den * other._den, convolve(self._ints, other._ints, n), n)
+
+    def _constant(self, n):
+        """c_0 when no coefficient below index n past c_0 is nonzero; 0 for a
+        known zero."""
+        if self.is_known_zero():
+            return _ZERO
+        if not n:
+            return None
+        if self._den is None:
+            c = self._coeffs
+            return None if any(c[1:n]) else c[0]
+        ints = self._ints
+        return None if any(ints[1:n]) else Fraction(ints[0], self._den)
 
     def scale(self, c):
         """Scalar multiple; c may be int, Fraction, or a QuadExt element."""
-        return TruncatedSeries([c * x for x in self.coeffs])
+        if self._den is None or isinstance(c, QuadExt):
+            return TruncatedSeries([c * x for x in self.coeffs])
+        if self._ints is None:
+            return self
+        num = c.numerator
+        return _integer(self._den * c.denominator, [num * x for x in self._ints], self.truncation)
 
     def derivative(self):
-        if len(self.coeffs) < 1:
+        if self.truncation < 1:
             raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
-        return TruncatedSeries([i * self.coeffs[i] for i in range(1, len(self.coeffs))])
+        return self._times_exponents(0).shifted(-1, self.truncation - 1)
+
+    def _times_exponents(self, order):
+        """sum (order + i) c_i t^i: the t-derivative of t^order times the
+        series, divided by t^(order - 1)."""
+        if self._den is None:
+            return TruncatedSeries([(order + i) * c for i, c in enumerate(self._coeffs)])
+        ints = self._ints
+        return _integer(self._den, None if ints is None else [(order + i) * c for i, c in enumerate(ints)],
+                        self.truncation)
+
+    def divided_derivative(self, k):
+        """(1/k!) (d/dt)^k of the series: coefficients C(j, k) c_j for j >= k,
+        known to truncation - k.  Past the truncation it raises as the k-th
+        derivative does."""
+        if k > self.truncation:
+            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
+        n = self.truncation - k
+        if self._den is None:
+            return TruncatedSeries([comb(j, k) * c for j, c in enumerate(self._coeffs[k:], k)])
+        ints = self._ints
+        return _integer(self._den, None if ints is None else [comb(j, k) * c for j, c in enumerate(ints[k:], k)],
+                        n)
 
     def antiderivative(self, constant=0):
-        out = [constant if not isinstance(constant, int) else Fraction(constant)]
-        out.extend(self.coeffs[i] / (i + 1) for i in range(len(self.coeffs)))
-        return TruncatedSeries(out)
+        """The series with derivative self and constant term ``constant``.
+
+        A rational one is written over lcm(den * lcm(1..T), the constant's
+        denominator) and then put in least terms."""
+        if self._den is None or isinstance(constant, QuadExt):
+            head = [constant if isinstance(constant, (Fraction, QuadExt)) else Fraction(constant)]
+            return TruncatedSeries(head + [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        n = self.truncation
+        m = lcm(*range(1, n + 1))
+        cden = constant.denominator
+        den = lcm(self._den * m, cden)
+        head = constant.numerator * (den // cden)
+        if self._ints is None:
+            return _integer(den, [head] + [0] * n, n + 1)
+        r = den // (self._den * m)
+        return _integer(den, [head] + [c * (r * (m // k)) for k, c in enumerate(self._ints, 1)], n + 1)
 
     def inverse(self):
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Over Q(sqrt d) it is conj(s) / (s conj(s)): the coefficients of
-        s conj(s) come back as Fractions, so both products run on the kernel.
+        With s = S/L in integers, 1/S has coefficients W_m / S_0^(m+1), where
+        W_0 = 1 and W_m = -sum_(k=1..m) S_k S_0^(k-1) W_(m-k); the result is
+        put over S_0^T.  Over Q(sqrt d) it is conj(s) / (s conj(s)): s
+        conj(s) is rational, so both products run on the kernel.
         """
-        if not self.coeffs:
+        n = self.truncation
+        if not n:
             raise PrecisionError("cannot invert a precision-0 series", needed=1)
-        coeffs = self.coeffs
-        if not coeffs[0]:
+        if not (self._coeffs[0] if self._den is None else self._ints and self._ints[0]):
             raise NonUnitError("series with zero constant term is not invertible")
-        if not any(isinstance(c, QuadExt) for c in coeffs):
-            return TruncatedSeries(_rational_inverse(coeffs))
-        # 1/s = conj(s) / (s * conj(s)), and s * conj(s) has rational coefficients
-        conj = [c.conjugate() if isinstance(c, QuadExt) else c for c in coeffs]
-        norm = _product(coeffs, conj, len(coeffs))
-        return TruncatedSeries(_product(conj, _rational_inverse(norm), len(coeffs)))
+        if self._den is None:
+            conj = TruncatedSeries([c.conjugate() if isinstance(c, QuadExt) else c for c in self._coeffs])
+            return conj * (self * conj).inverse()
+        ints = self._ints
+        s0 = ints[0]
+        scaled, power = [0], 1
+        for c in ints[1:]:
+            scaled.append(c * power)
+            power *= s0
+        w = [1]
+        for m in range(1, n):
+            w.append(-sum(map(mul, scaled[1:m + 1], reversed(w))))
+        # W_m / S_0^(m+1) = W_m S_0^(n-1-m) / S_0^n, times L
+        out, power, L = [0] * n, 1, self._den
+        for m in range(n - 1, -1, -1):
+            out[m] = L * w[m] * power
+            power *= s0
+        if power < 0:
+            power, out = -power, [-c for c in out]
+        return _integer(power, out, n)
 
     def sqrt_unit(self):
         """Square root u of a rational series s with constant term exactly 1.
 
         With s = S/L in integers (L the least common denominator, so S_0 = L),
-        u_n = U_n / (2^(2n-1) L^n), where U_1 = S_1 and
-        U_n = (4L)^(n-1) S_n - sum_(k=1..n-1) U_k U_(n-k).
+        u_n = U_n / (2^(2n-1) L^n) = U_n / (2L (4L)^(n-1)), where U_1 = S_1
+        and U_n = (4L)^(n-1) S_n - sum_(k=1..n-1) U_k U_(n-k); the result is
+        put over 2L (4L)^(T-2).
         """
-        if not self.coeffs or self.coeffs[0] != 1:
+        if self._den is None:
+            raise DomainError("sqrt_unit needs rational coefficients")
+        L, S, n = self._den, self._ints, self.truncation
+        if S is None or S[0] != L:
             raise NonUnitError("sqrt_unit requires constant term 1")
-        den, ints = common_denominator(self.coeffs)
-        out, U = [self.coeffs[0]], [None]
-        scale, power = 1, 2 * den
-        for n in range(1, len(ints)):
-            U.append(scale * ints[n] - sum(map(mul, U[1:n], U[n - 1:0:-1])))
-            out.append(Fraction(U[n], power))
-            scale *= 4 * den
-            power *= 4 * den
-        return TruncatedSeries(out)
+        if n == 1:
+            return self
+        U, scale = [None], 1
+        for k in range(1, n):
+            U.append(scale * S[k] - sum(map(mul, U[1:k], U[k - 1:0:-1])))
+            scale *= 4 * L
+        out, power = [0] * n, 1
+        for k in range(n - 1, 0, -1):
+            out[k] = U[k] * power
+            power *= 4 * L
+        # power is now (4L)^(n-1), twice 2L (4L)^(n-2)
+        out[0] = den = power // 2
+        return _integer(den, out, n)
 
     def __repr__(self):
         shown = []
@@ -198,244 +345,93 @@ class TruncatedSeries:
             if c:
                 shown.append(f"{c}*t^{i}" if i else f"{c}")
         body = " + ".join(shown) if shown else "0"
-        return f"TruncatedSeries({body} + O(t^{len(self.coeffs)}))"
+        return f"TruncatedSeries({body} + O(t^{self.truncation}))"
 
 
-def rational_series(s):
-    """True for a TruncatedSeries whose coefficients are all int or Fraction."""
-    return isinstance(s, TruncatedSeries) and all(isinstance(c, (int, Fraction)) for c in s.coeffs)
+def _raw(den, ints, n):
+    """The rational series ints/den known to n coefficients, as given: den
+    positive, ints None or a list with a nonzero entry, in least terms."""
+    s = TruncatedSeries.__new__(TruncatedSeries)
+    s.truncation, s._den, s._ints, s._coeffs = n, den, ints, None
+    return s
 
 
-class IntegerSeries:
-    """A rational series as integer numerators over its own denominator.
-
-    The coefficient of t^i is ints[i] / den for i < n; ``ints`` is None when
-    the series is known zero.  Sums, products, derivatives and
-    antiderivatives keep ``TruncatedSeries``' truncations (the shorter
-    operand; one fewer for a derivative, one more for an antiderivative) and
-    do no arithmetic on a known zero.  A product is one ``convolve`` over the
-    product of the denominators; a sum over one denominator adds the
-    numerators, otherwise it rescales both to the lcm.  ``series`` turns
-    each coefficient into one ``Fraction``: the values, types and truncation
-    of the same computation on ``TruncatedSeries``.
-    """
-
-    __slots__ = ("den", "ints", "n")
-
-    def __init__(self, den, ints, n):
-        self.den, self.ints, self.n = den, ints, n
-
-    @classmethod
-    def of(cls, s):
-        """A rational ``TruncatedSeries`` over its least common denominator."""
-        return cls.over_one_denominator([s])[0]
-
-    @classmethod
-    def over_one_denominator(cls, series):
-        """Rational ``TruncatedSeries`` over their one least common denominator,
-        so that sums of their products need no rescaling."""
-        den, ints = common_denominator([c for s in series for c in s.coeffs])
-        out, start = [], 0
-        for s in series:
-            part = ints[start:start + s.truncation]
-            out.append(cls(den, part if any(part) else None, s.truncation))
-            start += s.truncation
-        return out
-
-    @property
-    def truncation(self):
-        return self.n
-
-    def series(self):
-        """The series as a ``TruncatedSeries`` of Fractions."""
-        if self.ints is None:
-            return TruncatedSeries.zero(self.n)
-        return TruncatedSeries([Fraction(c, self.den) for c in self.ints])
-
-    def is_known_zero(self):
-        return self.ints is None or not any(self.ints)
-
-    def stripped(self):
-        """(j, s) with self = t^j s, s without the j leading known-zero
-        coefficients, as ``LaurentSeries.normalized`` strips them; a known
-        zero strips to a series of no coefficients."""
-        ints = self.ints
-        j = self.n if ints is None else next((i for i, c in enumerate(ints) if c), self.n)
-        if not j:
-            return 0, self
-        return j, IntegerSeries(self.den, None if j == self.n else ints[j:], self.n - j)
-
-    def least_terms(self):
-        """The series over its least denominator, den and numerators divided
-        by their gcd; a known zero over 1."""
-        if self.is_known_zero():
-            return IntegerSeries(1, None, self.n)
-        g = gcd(self.den, *self.ints)
-        return self if g == 1 else IntegerSeries(self.den // g, [c // g for c in self.ints], self.n)
-
-    def shifted(self, k, n):
-        """t^k times the series, cut to n coefficients."""
-        end = max(min(k + self.n, n), 0)
-        if not k and end == self.n:
-            return self
-        ints = None if self.ints is None else ([0] * k + self.ints)[:end]
-        return IntegerSeries(self.den, ints, end)
-
-    def __mul__(self, other):
-        n = min(self.n, other.n)
-        if self.ints is None or other.ints is None:
-            return IntegerSeries(self.den * other.den, None, n)
-        return IntegerSeries(self.den * other.den, convolve(self.ints, other.ints, n), n)
-
-    def __neg__(self):
-        return IntegerSeries(self.den, None if self.ints is None else [-c for c in self.ints], self.n)
-
-    def __add__(self, other):
-        n = min(self.n, other.n)
-        if other.ints is None:
-            return IntegerSeries(self.den, None if self.ints is None else self.ints[:n], n)
-        if self.ints is None:
-            return IntegerSeries(other.den, other.ints[:n], n)
-        if self.den == other.den:
-            return IntegerSeries(self.den, [a + b for a, b in zip(self.ints, other.ints)], n)
-        den = lcm(self.den, other.den)
-        ra, rb = den // self.den, den // other.den
-        return IntegerSeries(den, [ra * a + rb * b for a, b in zip(self.ints, other.ints)], n)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        """c * series for an integer c."""
-        return IntegerSeries(self.den, None if self.ints is None else [c * x for x in self.ints], self.n)
-
-    def derivative(self):
-        """d/dt, over the same denominator."""
-        if self.n < 1:
-            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
-        ints = None if self.ints is None else [k * c for k, c in enumerate(self.ints[1:], 1)]
-        return IntegerSeries(self.den, ints, self.n - 1)
-
-    def divided_derivative(self, k):
-        """(1/k!) (d/dt)^k of the series, over the same denominator: numerators
-        C(j, k) ints[j] for j >= k, known to n - k coefficients.  Past the
-        truncation it raises as the k-th derivative does."""
-        if k > self.n:
-            raise PrecisionError("cannot differentiate a precision-0 series", needed=2)
-        ints = None if self.ints is None else [comb(j, k) * c for j, c in enumerate(self.ints[k:], k)]
-        return IntegerSeries(self.den, ints if ints and any(ints) else None, self.n - k)
-
-    def antiderivative(self, constant=0):
-        """The series with derivative self and constant term ``constant``,
-        over lcm(den * lcm(1..n), the constant's denominator)."""
-        constant = Fraction(constant)
-        m = lcm(*range(1, self.n + 1))
-        den = lcm(self.den * m, constant.denominator)
-        head = constant.numerator * (den // constant.denominator)
-        if self.ints is None:
-            return IntegerSeries(den, [head] + [0] * self.n if head else None, self.n + 1)
-        r = den // (self.den * m)
-        return IntegerSeries(den, [head] + [c * (r * (m // k)) for k, c in enumerate(self.ints, 1)],
-                             self.n + 1)
+def _integer(den, ints, n):
+    """The rational series ints/den known to n coefficients, put in least terms."""
+    if ints is None or not any(ints):
+        return _raw(1, None, n)
+    g = gcd(den, *ints)
+    if g != 1:
+        den, ints = den // g, [c // g for c in ints]
+    return _raw(den, ints, n)
 
 
 def combination(terms):
-    """sum c * s over the (c, s) pairs, for rational c and series s of one
-    type, known to the least truncation of the s.
+    """sum c * s over the (c, s) pairs, for rational c, known to the least
+    truncation of the s.
 
-    ``IntegerSeries`` terms are summed over the lcm of the c.denominator *
-    s.den, each term one integer multiple of its numerators.
+    Rational series are summed over the lcm of the c.denominator * den, each
+    term one integer multiple of its numerators; a series over Q(sqrt d)
+    takes a chain of scales and sums.
     """
-    if not isinstance(terms[0][1], IntegerSeries):
+    n = min(s.truncation for _, s in terms)
+    if any(s._den is None for _, s in terms):
         out = None
         for c, s in terms:
             term = s if c == 1 else s.scale(c)
             out = term if out is None else out + term
         return out
-    n = min(s.n for _, s in terms)
-    live = [(Fraction(c), s) for c, s in terms if c and s.ints is not None]
+    live = [(c, s) for c, s in terms if c and s._ints is not None]
     if not live:
-        return IntegerSeries(1, None, n)
-    den = lcm(*(c.denominator * s.den for c, s in live))
+        return _raw(1, None, n)
+    den = lcm(*(c.denominator * s._den for c, s in live))
     acc = [0] * n
     for c, s in live:
-        w = c.numerator * (den // (c.denominator * s.den))
-        acc = list(map(add, acc, map(w.__mul__, s.ints)))
-    return IntegerSeries(den, acc, n)
+        w = c.numerator * (den // (c.denominator * s._den))
+        acc = list(map(add, acc, map(w.__mul__, s._ints)))
+    return _integer(den, acc, n)
 
 
-def _product(a, b, n):
-    """First n coefficients of the product of two coefficient sequences.
+def _quadratic_product(a, b, n):
+    """First n coefficients of a product with a factor over Q(sqrt d).
 
-    Rational factors take one integer product.  Otherwise every ``QuadExt``
-    coefficient must lie in one field Q(sqrt d), and the product takes three
-    (two when one factor is rational).  Each coefficient k is built as a
-    ``QuadExt``, which is a ``Fraction`` when its sqrt(d) part is zero.  A
-    constant factor (no nonzero coefficient past index 0) scales the other
-    one instead, with the same values, types and length; a factor exactly 1
-    (V = 1/(dx/dt) on a chart t = x - x0) returns a copy of the other.
+    Every ``QuadExt`` coefficient must lie in one field Q(sqrt d), and the
+    product takes three integer products (two when one factor is rational).
+    Each coefficient k is built as a ``QuadExt``, which is a ``Fraction`` when
+    its sqrt(d) part is zero; when every one is, the product is rational.
     """
-    a, b = a[:n], b[:n]
-    for const, other in ((a, b), (b, a)):
-        if const and not any(const[1:]):
-            c = const[0]
-            if c == 1:
-                out = [Fraction(x) if isinstance(x, int) else x for x in other]
-            else:
-                c = Fraction(c) if isinstance(c, int) else c
-                out = [c * x for x in other]
-            return out + [Fraction(0)] * (n - len(other))
-    fields = {c.d for c in (*a, *b) if isinstance(c, QuadExt)}
-    if not fields:
-        return rational_convolve(a, b, n)
+    fields = {c.d for s in (a, b) if s._den is None for c in s._coeffs[:n] if isinstance(c, QuadExt)}
     if len(fields) > 1:
         raise DomainError("product of series over distinct quadratic extensions")
-    d = fields.pop()
-    la, ua, va = _split(a)
-    lb, ub, vb = _split(b)
+    la, ua, va = _split(a, n)
+    lb, ub, vb = _split(b, n)
     den = u_den = la * lb
     uu = convolve(ua, ub, n)
     if any(va) and any(vb):
+        d = fields.pop()
         vv = convolve(va, vb, n)
         # Karatsuba: u_a v_b + v_a u_b = (u_a + v_a)(u_b + v_b) - u_a u_b - v_a v_b
-        mixed = convolve(list(map(sum, zip(ua, va))), list(map(sum, zip(ub, vb))), n)
+        mixed = convolve(list(map(add, ua, va)), list(map(add, ub, vb)), n)
         uv = [m - x - y for m, x, y in zip(mixed, uu, vv)]
         uu = [d.denominator * x + d.numerator * y for x, y in zip(uu, vv)]
         u_den *= d.denominator
-    else:
+    elif any(va) or any(vb):
+        d = fields.pop()
         uv = convolve(va, ub, n) if any(va) else convolve(ua, vb, n)
-    return [QuadExt(Fraction(x, u_den), Fraction(y, den), d) for x, y in zip(uu, uv)]
+    else:
+        return _integer(den, uu, n)
+    if not any(uv):
+        return _integer(u_den, uu, n)
+    return TruncatedSeries([QuadExt(Fraction(x, u_den), Fraction(y, den), d) for x, y in zip(uu, uv)])
 
 
-def _split(coeffs):
-    """(L, u, v) with coeffs[i] = (u[i] + v[i] sqrt d) / L in integers."""
-    parts = [(c.u, c.v) if isinstance(c, QuadExt) else (c, 0) for c in coeffs]
+def _split(s, n):
+    """(L, u, v) with c_i = (u[i] + v[i] sqrt d) / L in integers, for i < n."""
+    if s._den is not None:
+        return s._den, [0] * n if s._ints is None else s._ints[:n], [0] * n
+    parts = [(c.u, c.v) if isinstance(c, QuadExt) else (c, 0) for c in s._coeffs[:n]]
     den, ints = common_denominator([u for u, _ in parts] + [v for _, v in parts])
-    return den, ints[:len(coeffs)], ints[len(coeffs):]
-
-
-def _rational_inverse(coeffs):
-    """Coefficients of 1/s for a rational series s with s_0 != 0.
-
-    With s = S/L in integers, 1/S has coefficients W_m / S_0^(m+1), where
-    W_0 = 1 and W_m = -sum_(k=1..m) S_k S_0^(k-1) W_(m-k).
-    """
-    den, ints = common_denominator(coeffs)
-    s0 = ints[0]
-    scaled = [0]
-    power = 1
-    for c in ints[1:]:
-        scaled.append(c * power)
-        power *= s0
-    w = [1]
-    for m in range(1, len(ints)):
-        w.append(-sum(map(mul, scaled[1:m + 1], reversed(w))))
-    out = []
-    power = s0
-    for x in w:
-        out.append(Fraction(den * x, power))
-        power *= s0
-    return out
+    return den, ints[:n], ints[n:]
 
 
 class LaurentSeries:
@@ -463,18 +459,13 @@ class LaurentSeries:
 
     def normalized(self):
         """Strip leading known-zero coefficients, raising the order."""
-        coeffs = self.series.coeffs
-        j = 0
-        while j < len(coeffs) and not coeffs[j]:
-            j += 1
-        if j == 0:
-            return self
-        return LaurentSeries(self.order + j, TruncatedSeries(coeffs[j:]))
+        j, s = self.series.stripped()
+        return LaurentSeries(self.order + j, s) if j else self
 
     def t_order(self):
         """Exponent of the first nonzero coefficient (exact order when known)."""
         norm = self.normalized()
-        if not norm.series.coeffs:
+        if not norm.series.truncation:
             raise PrecisionError(
                 f"order not determined: zero to O(t^{self.end})", needed=self.series.truncation + 8
             )
@@ -488,9 +479,7 @@ class LaurentSeries:
         # both operands written from the common order to the common end
         o = min(self.order, other.order)
         n = max(min(self.end, other.end) - o, 0)
-        a, b = (TruncatedSeries(([Fraction(0)] * (s.order - o) + list(s.series.coeffs))[:n])
-                for s in (self, other))
-        return LaurentSeries(o, a + b)
+        return LaurentSeries(o, self.series.shifted(self.order - o, n) + other.series.shifted(other.order - o, n))
 
     def __neg__(self):
         return LaurentSeries(self.order, -self.series)
@@ -513,7 +502,7 @@ class LaurentSeries:
         """1/self; PrecisionError when no known coefficient is nonzero, since
         more terms may still show a leading one."""
         norm = self.normalized()
-        if not norm.series.coeffs:
+        if not norm.series.truncation:
             raise PrecisionError(
                 f"cannot invert: zero to O(t^{self.end})", needed=self.series.truncation + 8
             )
@@ -525,24 +514,20 @@ class LaurentSeries:
         return self * other.inverse()
 
     def derivative(self):
-        out = [(self.order + i) * c for i, c in enumerate(self.series.coeffs)]
-        return LaurentSeries(self.order - 1, TruncatedSeries(out))
+        return LaurentSeries(self.order - 1, self.series._times_exponents(self.order))
 
     def regular_part(self, context=""):
         """As a TruncatedSeries; PoleError when a known negative exponent survives."""
-        if self.order >= 0:
-            pad = [Fraction(0)] * self.order
-            return TruncatedSeries(pad + list(self.series.coeffs))
-        head = self.series.coeffs[: -self.order]
-        if any(head):
-            k = next(i for i, c in enumerate(head) if c)
-            raise PoleError(
-                f"pole of order {-(self.order + k)}{' on ' + context if context else ''}"
-            )
-        rest = self.series.coeffs[-self.order:]
-        if not rest:
-            raise PrecisionError("no regular coefficients known", needed=-self.order + 1)
-        return TruncatedSeries(rest)
+        s, o = self.series, self.order
+        if o < 0:
+            k = s._lead()
+            if k < min(-o, s.truncation):
+                raise PoleError(
+                    f"pole of order {-(o + k)}{' on ' + context if context else ''}"
+                )
+            if s.truncation <= -o:
+                raise PrecisionError("no regular coefficients known", needed=-o + 1)
+        return s.shifted(o, o + s.truncation)
 
     def __repr__(self):
         return f"LaurentSeries(t^{self.order} * {self.series!r})"

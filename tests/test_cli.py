@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from qcbound.cli import main
+from qcbound.cli import main, parse_disk
+from qcbound.hyperelliptic import CurveModel, residue_disks
+from qcbound.polys import Poly
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -256,6 +258,24 @@ class TestAnalyzeDisk:
     def test_invalid_disk(self, tmp_path, capsys):
         curve = write_curve(tmp_path, "odd 1 1 1 0 1")
         assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "1,1"]) == 2
+
+    @pytest.mark.parametrize("kind, f, p", [
+        ("odd", [1, 1, 0, 1], 5),
+        ("even", [2, 1, 0, 0, 1], 7),
+        ("odd", [0, 4, 0, -5, 0, 1], 11),
+        ("even", (Poly([0, -1, 0, 1]) * Poly([2, 0, 0, 1])).coeffs, 7),
+    ])
+    def test_printed_disk_parses_back(self, kind, f, p):
+        # str(disk) is the form reports print and spec constants keys use
+        C = CurveModel(kind, f)
+        for disk in residue_disks(C, p):
+            assert parse_disk(str(disk), C) == disk
+
+    def test_printed_disk_on_the_command_line(self, tmp_path, capsys):
+        curve = write_curve(tmp_path, "odd 1 1 1 0 1")
+        assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "(0,1)"]) == 0
+        assert "disk (0,1)" in capsys.readouterr().out
+        assert main(["analyze-disk", "--curve", curve, "--p", "5", "--disk", "(0,1"]) == 2
 
     def test_infinite_disk_chart(self, tmp_path, capsys):
         curve = write_curve(tmp_path, "odd 1 1 1 0 1")

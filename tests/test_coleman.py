@@ -23,7 +23,7 @@ from qcbound.errors import DomainError, PoleError
 from qcbound.funcfield import CurveFunction, chart_for, nonweierstrass_chart, weierstrass_chart
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
 from qcbound.polys import Poly
-from qcbound.series import IntegerSeries, TruncatedSeries
+from qcbound.series import TruncatedSeries
 
 
 def elliptic():
@@ -227,12 +227,10 @@ class TestExpandG:
         rows = sum(any(row) for row in a)
         singles = sum(bool(any(col) or v) for col, v in zip(zip(*a), spec.a_vector))
         assert 0 < rows < sum(map(bool, sum(a, [])))     # fewer rows than entries
-        # rational charts integrate IntegerSeries, the Q(sqrt 60) pair
-        # TruncatedSeries: count both
         calls = []
-        for kind in (TruncatedSeries, IntegerSeries):
-            monkeypatch.setattr(kind, "antiderivative",
-                                lambda s, constant=0, f=kind.antiderivative: calls.append(1) or f(s, constant))
+        antiderivative = TruncatedSeries.antiderivative
+        monkeypatch.setattr(TruncatedSeries, "antiderivative",
+                            lambda s, constant=0: calls.append(1) or antiderivative(s, constant))
         for chart in charts:
             calls.clear()
             G = expand_G(spec, chart)
@@ -244,19 +242,18 @@ class TestExpandG:
 
     def test_builds_only_the_integrands_in_use(self, monkeypatch):
         # a_matrix[0][1] and a_vector[1] use omega_0 as an outer integrand and
-        # I_1 as an inner one; omega_2 is never built, on the integer route of
-        # a rational chart (which builds the Fraction omega_0/dt once, as the
-        # factor of every x^j omega_0/dt) or on the Fraction route of a
-        # Q(sqrt d) one
+        # I_1 as an inner one; omega_2 is never built.  Every affine chart, a
+        # Q(sqrt d) one included, builds omega_0/dt once, as the factor of
+        # every x^j omega_0/dt
         import qcbound.coleman as coleman
 
         C = CurveModel("even", [2, 1, 0, 0, 1])
         spec = ColemanSpec(curve=C, p=7, a_matrix=[[0, 1, 0], [0, 0, 0], [0, 0, 0]], a_vector=[0, 1, 0], T=16)
         built = []
-        integrand, integer_integrand = coleman._integrand, coleman._integer_integrand
+        integrand, power_integrand = coleman._integrand, coleman._power_integrand
         monkeypatch.setattr(coleman, "_integrand", lambda f, chart: built.append(f) or integrand(f, chart))
-        monkeypatch.setattr(coleman, "_integer_integrand", lambda chart, j, omega0: built.append(spec.basis[j])
-                            or integer_integrand(chart, j, omega0))
+        monkeypatch.setattr(coleman, "_power_integrand", lambda chart, j, omega0: built.append(spec.basis[j])
+                            or power_integrand(chart, j, omega0))
         charts = 0
         for disk in residue_disks(C, 7):
             if disk.kind == "infinite":
@@ -264,8 +261,7 @@ class TestExpandG:
             chart = chart_for(C, disk, 7, 16)
             built.clear()
             G = expand_G(spec, chart)
-            shared = [] if chart.embedding is not None else spec.basis[:1]
-            assert built == shared + spec.basis[:2], str(disk)
+            assert built == spec.basis[:1] + spec.basis[:2], str(disk)
             omega_0, omega_1 = spec.basis[:2]
             assert G == expand_double_integral(omega_0, omega_1, chart) + expand_single_integral(omega_1, chart)
             charts += 1

@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import series_reference as ref
 from perfbench_support import workload_cases
 
 from qcbound.diffops import (
     DifferentialOperator,
-    _leibniz,
     _minor_determinants,
     annihilator_matrix,
     apply_on_chart,
@@ -486,32 +486,64 @@ class TestIntegerMinors:
         S, funcs = inputs
         assert same_coefficients(built_annihilator(S, funcs), generic_annihilator(S, funcs))
 
-    def test_rational_series_make_no_series_product(self, monkeypatch):
+    def test_rational_series_build_no_fractions(self, monkeypatch):
         C = genus2_even()
         disk = next(d for d in residue_disks(C, 7) if d.kind == "affine_weierstrass")
         funcs = weierstrass_inputs(weierstrass_chart(C, disk, 7, 26))
-        products = []
-        mul = TruncatedSeries.__mul__
-        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        reads = count_coefficient_reads(monkeypatch)
         D = build_annihilator(weierstrass_orders(C), funcs)
-        assert D.order == 9 and not products
-        # the counter sees the reference's products
-        _minor_determinants(annihilator_matrix(weierstrass_orders(C), funcs))
-        assert len(products) == 180
+        assert D.order == 9 and not reads
+        assert all(g._coeffs is None for g in D.coeffs)
+        # the counter sees a read
+        assert D.leading.coeffs and reads == [D.leading]
+
+
+def count_coefficient_reads(monkeypatch):
+    """The series whose ``coeffs`` are read from now on, in the order read."""
+    reads, coeffs = [], TruncatedSeries.coeffs
+    monkeypatch.setattr(TruncatedSeries, "coeffs", property(lambda s: reads.append(s) or coeffs.fget(s)))
+    return reads
 
 
 def fraction_compose(D1, chart):
-    """compose_with_base(D1, "omega0", chart) by ``_leibniz`` on the
-    ``TruncatedSeries`` coefficients of D1 and V = y / (dx/dt)."""
-    out = _leibniz(D1.coeffs, (chart.y / chart.dx_dt).regular_part())
-    out[0] = TruncatedSeries.zero(D1.leading.truncation)
-    return DifferentialOperator(out).coeffs
+    """compose_with_base(D1, "omega0", chart) on plain lists: V = y / (dx/dt)
+    by a list inverse and product, slot i - k + 1 receiving binom(i, k) c_i
+    V^(k) (a known-zero c_i or V^(k) skipped), slot 0 the zero series, and
+    the coefficients trimmed as ``DifferentialOperator`` trims them."""
+    order, dx_dt = ref.laurent_normalized(chart.dx_dt.order, list(chart.dx_dt.series.coeffs))
+    V = ref.regular_part(*ref.laurent_mul((chart.y.order, list(chart.y.series.coeffs)),
+                                          (-order, ref.inverse(dx_dt))))
+    coeffs = [list(g.coeffs) for g in D1.coeffs]
+    chain = [V]
+    for _ in range(len(coeffs) - 1):
+        chain.append(ref.derivative(chain[-1]))
+    out = [None] * (len(coeffs) + 1)
+    for i, c in enumerate(coeffs):
+        for k, vk in enumerate(chain[:i + 1]):
+            if any(c) and any(vk):
+                term = ref.scale(ref.mul(c, vk), comb(i, k))
+                j = i - k + 1
+                out[j] = term if out[j] is None else ref.add(out[j], term)
+    out[0] = [Fraction(0)] * len(coeffs[-1])
+    if None in out:
+        raise DomainError("a slot no term reaches")
+    while out and not any(out[-1]):
+        out.pop()
+    if not out:
+        raise DegenerateOperatorError("all operator coefficients vanish")
+    return out
+
+
+def same_lists(got, expected):
+    """Series coefficients with the values, types and truncations of the
+    reference lists."""
+    return len(got) == len(expected) and all(ref.matches(g, e) for g, e in zip(got, expected))
 
 
 class TestIntegerCompose:
     """On a Weierstrass chart D1 and V are rational series, and the
-    composition with d/omega0 runs on integer numerators; the Fraction
-    ``_leibniz`` composition is the reference."""
+    composition with d/omega0 runs on integer numerators; the Leibniz
+    composition on plain lists is the reference."""
 
     @pytest.mark.parametrize("f, kind, T", [
         (genus2_even().f.coeffs, "even", 24),
@@ -522,18 +554,15 @@ class TestIntegerCompose:
         C = CurveModel(kind, f)
         charts = [weierstrass_chart(C, d, 7, T) for d in residue_disks(C, 7) if d.kind == "affine_weierstrass"]
         assert len(charts) == 3
-        products = []
-        mul = TruncatedSeries.__mul__
         for chart in charts:
             D1 = weierstrass_local_annihilator(chart)
             expected = fraction_compose(D1, chart)
-            monkeypatch.setattr(TruncatedSeries, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-            got = compose_with_base(D1, "omega0", chart).coeffs
-            monkeypatch.setattr(TruncatedSeries, "__mul__", mul)
-            assert same_coefficients(got, expected), chart.disk
-        # V = y / (dx/dt) takes at most one series product per chart; the
-        # Fraction path takes one more per Leibniz term (35 at genus 2)
-        assert len(products) <= len(charts)
+            with monkeypatch.context() as patch:
+                reads = count_coefficient_reads(patch)
+                got = compose_with_base(D1, "omega0", chart).coeffs
+            # V and the Leibniz terms stay integer numerators throughout
+            assert not reads, chart.disk
+            assert same_lists(got, expected), chart.disk
 
     @settings(max_examples=150, deadline=None)
     @given(annihilator_inputs(), st.lists(rational_coefficients, min_size=1, max_size=8), st.integers(0, 6))
@@ -555,7 +584,7 @@ class TestIntegerCompose:
             with pytest.raises(type(exc)):
                 compose_with_base(D1, "omega0", chart)
         else:
-            assert same_coefficients(compose_with_base(D1, "omega0", chart).coeffs, expected)
+            assert same_lists(compose_with_base(D1, "omega0", chart).coeffs, expected)
 
 
 def laurent_apply_on_chart(D, F, chart):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qcbound.diffops import _derivation_chain, annihilator_matrix
+import series_reference as ref
+
+from qcbound.diffops import annihilator_matrix
 from qcbound.errors import (
     IndeterminatePolygonError,
     NonUnitError,
@@ -16,8 +18,8 @@ from qcbound.errors import (
 from qcbound.padics import INFINITY, kappa
 from qcbound.quadext import PAdicSqrtEmbedding, QuadExt
 from qcbound.series import (
-    IntegerSeries,
     LaurentSeries,
+    combination,
     TruncatedSeries,
     min_valuation_index,
     newton_polygon,
@@ -244,7 +246,7 @@ class TestSlopeTransfer:
                         assert kp * i >= M
 
 
-# -- IntegerSeries strip, least terms and divided derivatives ------------------
+# -- the integer form: strip, least terms and divided derivatives -------------
 
 
 def same_series(got, want):
@@ -252,52 +254,66 @@ def same_series(got, want):
     return got == want and [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
-# leading zeros, a few coefficients and trailing known zeros, often all zero
-integer_series = st.builds(
-    lambda lead, body, tail, den, common: IntegerSeries(
-        den, [0] * lead + [common * c for c in body] + [0] * tail, lead + len(body) + tail),
+def fractions_over(den, ints):
+    return [Fraction(c, den) for c in ints]
+
+
+# leading zeros, a few coefficients and trailing zeros, often all zero, as
+# numerators over den that share the factor common
+rational_lists = st.builds(
+    lambda lead, body, tail, den, common: fractions_over(den, [0] * lead + [common * c for c in body] + [0] * tail),
     st.integers(0, 4), st.lists(st.integers(-30, 30), max_size=6), st.integers(0, 3),
     st.integers(1, 60), st.integers(1, 12))
-KNOWN_ZERO = IntegerSeries(7, None, 4)
-ALL_ZERO_LIST = IntegerSeries(5, [0, 0, 0], 3)
-LEADING_ZEROS = IntegerSeries(6, [0, 0, 4, -9, 2], 5)
+KNOWN_ZERO = [Fraction(0)] * 4
+ALL_ZERO_LIST = fractions_over(5, [0, 0, 0])
+LEADING_ZEROS = fractions_over(6, [0, 0, 4, -9, 2])
 
 
 class TestIntegerSeriesForms:
     @settings(max_examples=150, deadline=None)
-    @given(integer_series)
+    @given(rational_lists)
     @example(KNOWN_ZERO)
     @example(ALL_ZERO_LIST)
     @example(LEADING_ZEROS)
-    @example(IntegerSeries(1, [], 0))
-    def test_stripped_is_laurent_normalized(self, s):
+    @example([])
+    def test_stripped_is_laurent_normalized(self, coeffs):
+        s = TruncatedSeries(coeffs)
+        want_j, want = ref.strip(coeffs)
         j, rest = s.stripped()
-        want = LaurentSeries(0, s.series()).normalized()
-        assert j == want.order
-        assert same_series(rest.series(), want.series)
-        assert rest.truncation == s.truncation - j
-        assert rest.is_known_zero() == (rest.truncation == 0 or s.is_known_zero())
+        assert j == want_j
+        assert ref.matches(rest, want)
+        assert rest.is_known_zero() == (not any(want))
+        norm = LaurentSeries(3, s).normalized()
+        assert norm.order == 3 + want_j and ref.matches(norm.series, want)
 
     @settings(max_examples=150, deadline=None)
-    @given(integer_series)
-    @example(KNOWN_ZERO)
-    @example(ALL_ZERO_LIST)
-    @example(LEADING_ZEROS)
-    def test_least_terms_keeps_the_series(self, s):
-        reduced = s.least_terms()
-        assert same_series(reduced.series(), s.series())
-        if s.is_known_zero():
-            assert (reduced.den, reduced.ints) == (1, None)
-        else:
-            assert gcd(reduced.den, *reduced.ints) == 1
+    @given(rational_lists, rational_lists)
+    @example(KNOWN_ZERO, KNOWN_ZERO)
+    @example(ALL_ZERO_LIST, LEADING_ZEROS)
+    @example(LEADING_ZEROS, LEADING_ZEROS)
+    def test_least_terms_keeps_the_series(self, a, b):
+        # integer sums, products and scales whose numerators share a factor
+        # with their denominator divide it out
+        A, B = TruncatedSeries(a), TruncatedSeries(b)
+        for got, want in ((A + B, ref.add(a, b)), (A * B, ref.mul(a, b)), (A.scale(6), ref.scale(a, 6))):
+            assert ref.matches(got, want)
+            den, ints = ref.least_terms(want)
+            assert (got._den, got._ints) == (den, ints)
+            if ints is not None:
+                assert gcd(den, *ints) == 1
 
     def test_least_terms_divides_out_the_gcd(self):
-        assert LEADING_ZEROS.least_terms() is LEADING_ZEROS
-        halves = IntegerSeries(12, [6, 0, -18], 3).least_terms()
-        assert (halves.den, halves.ints, halves.n) == (2, [1, 0, -3], 3)
+        lead = TruncatedSeries(LEADING_ZEROS)
+        assert (lead._den, lead._ints) == (6, [0, 0, 4, -9, 2])
+        halves = TruncatedSeries(fractions_over(12, [1, 0, -3])).scale(6)
+        assert (halves._den, halves._ints, halves.truncation) == (2, [1, 0, -3], 3)
+        one = TruncatedSeries(fractions_over(2, [1, 0, 1])) + TruncatedSeries(fractions_over(2, [1, 0, -1]))
+        assert (one._den, one._ints) == (1, [1, 0, 0])
+        quarter = TruncatedSeries(fractions_over(4, [1, 1])) * S([2, 2])
+        assert (quarter._den, quarter._ints) == (2, [1, 2])
 
     @settings(max_examples=150, deadline=None)
-    @given(integer_series, st.integers(0, 8))
+    @given(rational_lists, st.integers(0, 8))
     @example(KNOWN_ZERO, 2)
     @example(KNOWN_ZERO, 4)
     @example(KNOWN_ZERO, 5)
@@ -305,28 +321,138 @@ class TestIntegerSeriesForms:
     @example(LEADING_ZEROS, 2)
     @example(LEADING_ZEROS, 5)
     @example(LEADING_ZEROS, 6)
-    def test_divided_derivative_is_the_scaled_derivative_chain(self, s, n):
-        # annihilator_matrix's entry (1/n!) D^n F, the chain of plain derivatives
-        F = s.series()
+    def test_divided_derivative_is_the_scaled_derivative_chain(self, coeffs, n):
+        # annihilator_matrix's entry (1/n!) D^n F, as a chain of plain derivatives
+        s = TruncatedSeries(coeffs)
+        want = coeffs
         try:
-            want = _derivation_chain(F, n, "dx")[n].scale(Fraction(1, factorial(n)))
+            for _ in range(n):
+                want = ref.derivative(want)
         except PrecisionError:
             with pytest.raises(PrecisionError):
                 s.divided_derivative(n)
             assert n > s.truncation
             return
+        want = ref.scale(want, Fraction(1, factorial(n)))
         got = s.divided_derivative(n)
-        assert same_series(got.series(), want)
-        assert got.is_known_zero() == want.is_known_zero()
+        assert ref.matches(got, want)
+        assert ref.matches(got, ref.divided_derivative(coeffs, n))
+        assert got.is_known_zero() == (not any(want))
 
     @settings(max_examples=60, deadline=None)
-    @given(integer_series, st.integers(0, 4), st.integers(1, 4))
-    def test_divided_derivatives_are_annihilator_matrix_entries(self, s, a, gap):
-        F = s.series()
+    @given(rational_lists, st.integers(0, 4), st.integers(1, 4))
+    def test_divided_derivatives_are_annihilator_matrix_entries(self, coeffs, a, gap):
+        s = F = TruncatedSeries(coeffs)
         orders = [a, a + gap]
         if F.truncation <= orders[-1]:
             with pytest.raises(PrecisionError):
                 annihilator_matrix(orders, [F])
             return
         (row,) = annihilator_matrix(orders, [F])
-        assert all(same_series(s.divided_derivative(n).series(), entry) for n, entry in zip(orders, row))
+        assert all(same_series(s.divided_derivative(n), entry) for n, entry in zip(orders, row))
+
+
+# -- rational and Q(sqrt 5) series in one class --------------------------------
+
+QUAD_D = 5
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 9))
+nonzero_rationals = small_rationals.filter(bool)
+
+
+@st.composite
+def quadratic_lists(draw):
+    """Leading zeros, then coefficients with at least one in Q(sqrt 5) \\ Q."""
+    lead = draw(st.integers(0, 2))
+    body = draw(st.lists(st.one_of(small_rationals, st.builds(lambda u, v: QuadExt(u, v, QUAD_D),
+                                                              small_rationals, nonzero_rationals)),
+                         min_size=1, max_size=6))
+    k = draw(st.integers(0, len(body) - 1))
+    body[k] = QuadExt(draw(small_rationals), draw(nonzero_rationals), QUAD_D)
+    return [Fraction(0)] * lead + body
+
+
+def mixed_operands(draw_lists=rational_lists):
+    """(a, b): one rational list (known zeros and leading zeros among them)
+    and one over Q(sqrt 5), in either order."""
+    return st.tuples(draw_lists, quadratic_lists(), st.booleans()).map(
+        lambda t: (t[0], t[1]) if t[2] else (t[1], t[0]))
+
+
+def in_its_form(s, coeffs):
+    """Integer numerators in least terms when every coefficient is rational,
+    the coefficient tuple otherwise."""
+    if all(isinstance(c, Fraction) for c in coeffs):
+        return (s._den, s._ints) == ref.least_terms(coeffs)
+    return s._den is None
+
+
+def conjugates(coeffs):
+    return [c.conjugate() if isinstance(c, QuadExt) else c for c in coeffs]
+
+
+READS = st.sampled_from(["before", "after", "never"])
+
+
+class TestMixedForms:
+    """Every operation of a rational series with one over Q(sqrt d) gives the
+    plain-list values and types, in the storage form its coefficients call
+    for, whether or not the operands' coefficients were read first."""
+
+    @staticmethod
+    def operands(a, b, reads):
+        # a rational series built from a list holds its Fractions already;
+        # one scaled by 1 builds them when they are first read
+        A, B = TruncatedSeries(a).scale(1), TruncatedSeries(b).scale(1)
+        if reads == "before":
+            assert ref.matches(A, a) and ref.matches(B, b)
+        return A, B
+
+    @staticmethod
+    def check_reads(A, B, a, b, reads):
+        if reads == "after":
+            assert ref.matches(A, a) and ref.matches(B, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_operands(), small_rationals, small_rationals, READS)
+    def test_sums_products_inverses_combinations(self, ab, c, e, reads):
+        a, b = ab
+        A, B = self.operands(a, b, reads)
+        results = [(A + B, ref.add(a, b)), (B + A, ref.add(b, a)), (A - B, ref.sub(a, b)),
+                   (A * B, ref.mul(a, b)), (B * A, ref.mul(b, a)),
+                   (combination([(c, A), (e, B)]), ref.combination([(c, a), (e, b)]))]
+        if b and any(isinstance(x, QuadExt) for x in b):
+            # the sqrt(d) parts cancel: the sum is rational again
+            results.append((B + TruncatedSeries(conjugates(b)), ref.add(b, conjugates(b))))
+        for s, coeffs in ((A, a), (B, b), (A + B, ref.add(a, b))):
+            if coeffs and coeffs[0]:
+                results.append((s.inverse(), ref.inverse(coeffs)))
+        for got, want in results:
+            assert got == TruncatedSeries(want)
+            assert in_its_form(got, want)
+            assert ref.matches(got, want)
+        self.check_reads(A, B, a, b, reads)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_operands(), st.integers(-3, 3), st.integers(-3, 3), READS)
+    def test_laurent_operations(self, ab, oa, ob, reads):
+        a, b = ab
+        A, B = self.operands(a, b, reads)
+        x, y = LaurentSeries(oa, A), LaurentSeries(ob, B)
+        results = [(x + y, ref.laurent_add((oa, a), (ob, b))), (y + x, ref.laurent_add((ob, b), (oa, a))),
+                   (x * y, ref.laurent_mul((oa, a), (ob, b))),
+                   (x.normalized(), ref.laurent_normalized(oa, a)),
+                   (y.normalized(), ref.laurent_normalized(ob, b))]
+        for got, (order, want) in results:
+            assert got.order == order
+            assert in_its_form(got.series, want)
+            assert ref.matches(got.series, want)
+        for z, (order, coeffs) in ((x, (oa, a)), (y, (ob, b)), (x + y, results[0][1])):
+            try:
+                want = ref.regular_part(order, coeffs)
+            except (PoleError, PrecisionError) as exc:
+                with pytest.raises(type(exc)):
+                    z.regular_part()
+            else:
+                got = z.regular_part()
+                assert in_its_form(got, want) and ref.matches(got, want)
+        self.check_reads(A, B, a, b, reads)
