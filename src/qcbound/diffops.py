@@ -5,13 +5,21 @@ series in a disk parameter, together with the base derivation: d/dx,
 d/omega_0 = y d/dx, or d/dy = (2y/f') d/dx.  A series operator with base
 'dx' is written in its disk parameter t, so there d/dx means d/dt.
 
-Every operator meets a disk through one rewrite, ``local_operator(D,
-chart)``: D becomes the series operator sum G_k (d/dt)^k in the disk's own
-local parameter t, by Horner's rule over D = V(t) d/dt, V the expansion of
-the base derivation applied to t.  Each Horner step, like
-``compose_with_base``, is the one Leibniz composition with m d/dt.  Both
-jobs read the local operator: niceness asks for p-integral G_k with the
-leading one a unit, and D(F) is ``apply_series`` of it.
+``local_operator(D, chart)`` writes any operator as the series operator
+sum G_k (d/dt)^k in the disk's own local parameter t, by Horner's rule over
+D = V(t) d/dt, V the expansion of the base derivation applied to t.  Each
+Horner step, like ``compose_with_base``, is the one Leibniz composition with
+m d/dt.  Both jobs read the local operator: niceness asks for p-integral
+G_k with the leading one a unit, and D(F) is ``apply_series`` of it.
+
+Every operator of a disk analysis is D = D1 o d/omega_0, and it meets its
+disk through one rewrite, L = ``compose_with_base(local_operator(D1,
+chart), "omega0", chart)``.  D1 is (d/dx)^q or y d/dx, whose local
+coefficients need only the chart's y, or the Weierstrass annihilator,
+already in t.  The composition puts binom(i, k) times the k-th derivative
+of the one series y/(dx/dt) where D has coefficients over powers of f.
+``local_operator`` of an algebraic D, the Horner path over those
+coefficients, serves ``apply_on_chart``, the command line and the tests.
 
 The annihilator of functions F_1 .. F_m built from an index set
 S = {n_1 < ... < n_{m+1}} is
@@ -434,7 +442,13 @@ def compose_with_base(D1, base, chart=None):
     result's niceness must be re-checked where y is not a unit (Weierstrass
     disks flag this).  For series coefficients, which are already written in
     a disk coordinate t (d/dx there means d/dt), pass the disk's chart:
-    m = V, the expansion of y / (dx/dt).
+    m = V, the expansion of y / (dx/dt).  Each derivative of V gives up one
+    coefficient, and slot 1 sums g_i V^(i) over every i, so no slot is
+    known past min(len V - N, len g_i) for D1 of order N.  When that is no
+    coefficient, PrecisionError asks for the chart T that gives one; V has
+    fewer than T coefficients on every chart, so this always happens at
+    T <= N + 1, the order of the result.  A slot that only known-zero terms
+    reach is a known zero to that length.
     """
     if base == D1.base:
         return DifferentialOperator([_zero_like(D1.leading), *D1.coeffs], base=D1.base)
@@ -446,7 +460,13 @@ def compose_with_base(D1, base, chart=None):
     elif chart is None:
         raise DomainError("series coefficients need the chart of their disk")
     else:
-        out = _leibniz(D1.coeffs, _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}"))
+        V = _chart_derivation(chart, "omega0").regular_part(context=f"disk {chart.disk}")
+        known = min(V.truncation - D1.order, *(g.truncation for g in D1.coeffs))
+        if known < 1:
+            raise PrecisionError(
+                f"series precision {chart.T} too low to compose an order-{D1.order} operator "
+                f"with d/omega0", needed=chart.T + 1 - known)
+        out = [TruncatedSeries.zero(known) if G is None else G for G in _leibniz(D1.coeffs, V)]
     # the nonzero leading g_N reaches every slot but the first
     out[0] = _zero_like(D1.leading)
     return DifferentialOperator(out, base="dx")

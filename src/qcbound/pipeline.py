@@ -18,16 +18,28 @@ Operator selection mirrors the constructions the bounds are proved with:
   carries the joint bound, and inf- reports N_b 0 and bound 0, counted
   jointly with it.  Odd models exclude infinity (integral-point semantics).
 
-All three operators come from ``diffops.compose_with_base``: the order-2 one
-(y d/dx composed with d/omega_0) and the non-Weierstrass one from algebraic
-d/dx coefficients, the Weierstrass one from series coefficients in the disk
-coordinate.
+Every planned operator is D = D1 o d/omega_0, and the plan keeps only its
+d/dx factor D1: (d/dx)^q, or y d/dx on the order-2 shape.  D itself is
+built once per plan, inside the candidate function, for
+``algebraic_image``.  The Weierstrass annihilator, the D1 of the disks
+outside the order-2 shape, is built on each chart.
 
-Every affine disk builds its chart and L = sum G_k (d/dt)^k, its operator in
-the disk parameter t (``diffops.local_operator`` of the planned D, or the
-composed Weierstrass annihilator, already in t), and the niceness
-certificate scans L.  The zero count N_b takes one of two routes, chosen by
-whether the plan has a candidate, not by the kind of disk:
+Every affine disk builds its chart and its operator in the disk parameter
+t, L = sum G_k (d/dt)^k, in one way: ``compose_with_base(local_operator(D1,
+chart), "omega0", chart)`` (``local_operator`` returns the annihilator
+unchanged).  So where D has coefficients binom(q, k) y^(k) over powers of f,
+L has binom(q, k) times the k-th derivative of the one chart series
+V = y/(dx/dt).  Each derivative gives up a coefficient: on a
+non-Weierstrass chart slot j of L (order N) is known to T - 1 - (N - j)
+coefficients, and a chart with T <= N raises PrecisionError.  The shorter
+scan cannot change niceness: there L's coefficients are binomials times
+derivatives of y(t), or products of y(t) and its derivatives on the order-2
+shape, all in Z_p[[t]], and the leading one starts with a power of the unit
+y(0), so both witnesses read 0 whatever the truncation.
+
+The niceness certificate scans L.  The zero count N_b takes one of two
+routes, chosen by whether the plan has a candidate, not by the kind of
+disk:
 
 * with a candidate F = D(G), every affine disk, Weierstrass points included,
   reads N_b from the reduction of F mod p, ``CurveFunction.order_mod_p`` at
@@ -41,14 +53,14 @@ whether the plan has a candidate, not by the kind of disk:
   proof's output-ledger degree; else N_b is that degree.
 
 ``run_pipeline`` plans each spec once (``SpecPlan``) and sends every disk,
-both infinite ones included, through ``analyze_disk``.  The input floor, the
-operator of each affine disk kind, the candidate image and the candidate's
-polar degree depend on the spec only.  A DomainError or PrecisionError raised
-while planning a disk kind is kept in place of its entry, and each disk of
-that kind raises it again right after its chart is built, so it is reported
-on the disk.  The plan holds spec-level data only: no two disks share a
-chart, a series or a local operator, so a disk analysed alone reports what
-it reports in a run.
+both infinite ones included, through ``analyze_disk``.  The input floor,
+the d/dx factor D1 of each affine disk kind, the candidate image and the
+candidate's polar degree depend on the spec only.  A DomainError or
+PrecisionError raised while planning a disk kind is kept in place of its
+entry, and each disk of that kind raises it again right after its chart is
+built, so it is reported on the disk.  The plan holds spec-level data
+only: no two disks share a chart, a series or a local operator, so a disk
+analysed alone reports what it reports in a run.
 """
 
 from dataclasses import dataclass
@@ -175,17 +187,26 @@ def polar_degree(F):
     )
 
 
+def _order2_factor(C):
+    """y d/dx, the d/dx factor of the order-2 shape's operator."""
+    return DifferentialOperator([CurveFunction.const(C, 0), CurveFunction.y(C)], base="dx")
+
+
+def _nonweierstrass_factor(C):
+    """(d/dx)^q, q = 2g+1 on even models and 2g on odd ones: the d/dx factor
+    of the general affine non-Weierstrass operator."""
+    q = C.basis_size
+    return DifferentialOperator([CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx")
+
+
 def _order2_operator(C):
     """(d/omega_0)^2 = f (d/dx)^2 + (f'/2) d/dx, the operator of the order-2 shape."""
-    y_ddx = DifferentialOperator([CurveFunction.const(C, 0), CurveFunction.y(C)], base="dx")
-    return compose_with_base(y_ddx, "omega0")
+    return compose_with_base(_order2_factor(C), "omega0")
 
 
 def _nonweierstrass_operator(C):
     """(d/dx)^q (d/omega_0), q = 2g+1 on even models and 2g on odd ones."""
-    q = C.basis_size
-    ddx_q = DifferentialOperator([CurveFunction.const(C, 0)] * q + [CurveFunction.const(C, 1)], base="dx")
-    return compose_with_base(ddx_q, "omega0")
+    return compose_with_base(_nonweierstrass_factor(C), "omega0")
 
 
 def order2_candidate(spec):
@@ -212,12 +233,14 @@ def algebraic_zero_count(F_series, p, floor_val, degree_bound, val=None):
 
 
 class _Planned(NamedTuple):
-    """The plan of one affine disk kind.  ``D`` is None for the Weierstrass
-    annihilator (built on each chart, no candidate), whose ``degree`` is the
-    proof's output-ledger degree; else ``degree`` is the candidate's polar
-    degree, None when the candidate is zero."""
+    """The plan of one affine disk kind.  ``D1`` is the d/dx factor of the
+    planned operator D = D1 o d/omega_0, whose order is ``order``.  ``D1``
+    is None for the Weierstrass annihilator, built on each chart with no
+    candidate, whose ``degree`` is the proof's output-ledger degree; else
+    ``candidate`` is D(G) and ``degree`` its polar degree, None when the
+    candidate is zero."""
 
-    D: object
+    D1: object
     description: str
     order: int
     candidate: object
@@ -228,24 +251,24 @@ def _plan_affine(spec, kind):
     """The ``_Planned`` entry of an affine disk kind, or the DomainError or
     PrecisionError that planning it raised.
 
-    The reduced views of the candidate and of D's coefficients, which the disk
-    expansions and the report read, are built here too, so that no planning
-    work falls into a disk's time.
+    The candidate comes from ``order2_candidate(spec)`` or
+    ``nonweierstrass_candidate(spec)``, once per plan.  Its reduced view,
+    which ``order_mod_p`` and the report read, is built here too, so that no
+    planning work falls into a disk's time.
     """
     C = spec.curve
     try:
         if uses_order2_shape(spec):
-            D, description, candidate = _order2_operator(C), "(d/omega_0)^2", order2_candidate(spec)
+            D1, description, candidate = _order2_factor(C), "(d/omega_0)^2", order2_candidate(spec)
         elif kind == "affine_nonweierstrass":
-            D, description = _nonweierstrass_operator(C), f"(d/dx)^{C.basis_size} (d/omega_0)"
+            D1, description = _nonweierstrass_factor(C), f"(d/dx)^{C.basis_size} (d/omega_0)"
             candidate = nonweierstrass_candidate(spec)
         else:
             case = "hyper_W" if C.kind == "even" else "integral_W"
             return _Planned(None, "weierstrass divided-power annihilator (d/omega_0)", 2 * C.basis_size,
                             None, ledger_degrees(C.genus)[case])
-        for F in (*D.coeffs, candidate):
-            F.view()
-        return _Planned(D, description, D.order, candidate, polar_degree(candidate) if candidate else None)
+        candidate.view()
+        return _Planned(D1, description, D1.order + 1, candidate, polar_degree(candidate) if candidate else None)
     except (DomainError, PrecisionError) as exc:
         return exc
 
@@ -253,9 +276,10 @@ def _plan_affine(spec, kind):
 class SpecPlan:
     """Spec-level data, built once per run: the input floor, ``eta_den`` and
     one ``_plan_affine`` entry per affine disk kind among ``disks`` (a single
-    one for every affine disk on the order-2 shape).  Nothing in it depends
-    on a disk.  Planning first runs ``ColemanSpec.check_constants``, so a
-    constants key added after the spec was built fails the run with
+    one for every affine disk on the order-2 shape): the d/dx factor D1 of
+    its operator, the candidate and its polar degree.  Nothing in it
+    depends on a disk.  Planning first runs ``ColemanSpec.check_constants``,
+    so a constants key added after the spec was built fails the run with
     DomainError before any disk is analysed.
     """
 
@@ -300,23 +324,17 @@ def analyze_disk(spec, disk):
         planned = plan.operators[disk.kind]
         if isinstance(planned, Exception):
             raise planned.with_traceback(None)
-        D, ana.operator, ana.order, candidate, degree = planned
-        if D is None:   # Weierstrass annihilator, already in t: no candidate, N_b from D(G)'s series
+        D1, ana.operator, ana.order, candidate, degree = planned
+        if candidate is None:   # Weierstrass annihilator: no candidate, N_b from D(G)'s series
             G = expand_G(spec, chart)
-            L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
         elif not candidate:
             ana.error = "D(G) is identically zero; no zero-count bound (degenerate constants)"
             return ana
-        else:
-            L = local_operator(D, chart)
+        L = compose_with_base(local_operator(D1 or weierstrass_local_annihilator(chart), chart), "omega0", chart)
         ana.order = L.order
         ana.nice = check_nice(L, p, chart=chart)
-        if D is not None and chart.T <= L.order:
-            # the scan of L would read fewer terms than L has coefficients
-            raise PrecisionError(f"series precision {chart.T} below operator order {L.order}",
-                                 needed=L.order + 1)
         ana.dg_candidate = candidate
-        if D is None:
+        if candidate is None:
             ana.n_b, ana.n_b_method = algebraic_zero_count(apply_series(L, G), p, plan.floor, degree,
                                                            val=chart.valuation_of)
         else:

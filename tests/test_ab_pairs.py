@@ -1,5 +1,6 @@
 """tools/ab_pairs.py on stubbed benchmark runs: failed and attempted totals,
-the bounds of BENCHMARK.json, metrics the parent's spread leaves unresolved,
+the bounds of BENCHMARK.json, the margin of each median against its bound
+and the pairs over it, metrics the parent's spread leaves unresolved,
 the environment of each run, the sibling copies both sides run from, and the
 refusal of two checkouts whose benchmarks differ."""
 
@@ -105,6 +106,30 @@ def test_unresolved_when_the_parent_spreads_past_the_bound(monkeypatch, capsys, 
     rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.strip()}
     assert rows["setup_s"].endswith(verdict)
     assert rows["pipeline_s"].endswith("within 25%")
+
+
+@pytest.mark.parametrize("change_runs, margin, over, verdict, code", [
+    # a median 9% up, with 2 of the 6 pairs past the 10% bound on their own
+    ([1.09, 1.05, 1.12, 1.09, 1.15, 1.08], "+9.0% of 10%", "2/6", "within 10%", 0),
+    ([1.11] * 6, "+11.0% of 10%", "6/6", "WORSE than 10%", 1),
+])
+def test_margin_and_pairs_over_the_bound(monkeypatch, capsys, parent, change_runs, margin, over, verdict, code):
+    ab = load_ab_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = iter(change_runs)
+
+    def run_once(checkout, args, seconds):
+        values = {name: 1.0 for name in names}
+        if checkout.name == "change":
+            values["peak_rss_mb"] = next(runs)
+        return {"correct": True, "attempted": 10, "failed": 0,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    assert ab.main([str(parent), "--workload", "genus1_batch", "--pairs", "6"]) == code
+    rows = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line.strip()}
+    assert rows["peak_rss_mb"].endswith(f"{margin}  {over}  {verdict}")
+    assert rows["pipeline_s"].endswith("+0.0% of 25%  0/6  within 25%")
 
 
 def test_runs_start_with_no_bytecode_cache(monkeypatch, tmp_path):

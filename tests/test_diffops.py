@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 import series_reference as ref
+from operator_oracle import algebraic_operator
 from perfbench_support import workload_cases
 
 from qcbound.diffops import (
@@ -33,7 +34,6 @@ from qcbound.errors import (
 from qcbound.funcfield import CurveFunction, chart_for, nonweierstrass_chart, weierstrass_chart
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, residue_disks
 from qcbound.padics import INFINITY
-from qcbound.pipeline import SpecPlan
 from qcbound.polys import Poly
 from qcbound.series import LaurentSeries, TruncatedSeries
 
@@ -320,6 +320,26 @@ class TestCompose:
         with pytest.raises(DomainError):
             compose_with_base(DifferentialOperator([S([1], 6), S([0, 1], 6)]), "omega0")
 
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_a_short_chart_is_a_precision_shortfall(self, T):
+        # d/dt o d/omega0 on y^2 = x^3 + x + 1 at p = 5: slot 1 is V', and V =
+        # y/(dx/dt) is known to T - 1 coefficients, so T = 3 is the least
+        # chart that knows V' at all; below it the shortfall names a T
+        C = CurveModel("odd", [1, 1, 0, 1])
+        chart = chart_for(C, DiskDescriptor("affine_nonweierstrass", 0, 1), 5, T)
+        D1 = DifferentialOperator([TruncatedSeries.zero(T), TruncatedSeries.one(T)])
+        if T < 3:
+            with pytest.raises(PrecisionError) as raised:
+                compose_with_base(D1, "omega0", chart)
+            # at T = 2 it names the T that works; at T = 1 dx/dt itself is
+            # known to no coefficient, and V cannot be formed
+            assert raised.value.needed == 3 if T == 2 else raised.value.needed > T
+            return
+        D = compose_with_base(D1, "omega0", chart)
+        assert D.order == 2
+        assert [G.truncation for G in D.coeffs] == [3, 1, 2]
+        assert D.coeffs[1].agrees_with(chart.y.series.derivative())
+
 
 class TestDyBase:
     def test_dy_is_the_disk_derivation_at_weierstrass_charts(self):
@@ -509,11 +529,17 @@ def fraction_compose(D1, chart):
     """compose_with_base(D1, "omega0", chart) on plain lists: V = y / (dx/dt)
     by a list inverse and product, slot i - k + 1 receiving binom(i, k) c_i
     V^(k) (a known-zero c_i or V^(k) skipped), slot 0 the zero series, and
-    the coefficients trimmed as ``DifferentialOperator`` trims them."""
+    the coefficients trimmed as ``DifferentialOperator`` trims them.  Slot 1
+    sums c_i V^(i) for every i, so it is known to the least of len(V) - N
+    and the len(c_i); PrecisionError when that is no coefficient, and a slot
+    no term reaches is a known zero of that length."""
     order, dx_dt = ref.laurent_normalized(chart.dx_dt.order, list(chart.dx_dt.series.coeffs))
     V = ref.regular_part(*ref.laurent_mul((chart.y.order, list(chart.y.series.coeffs)),
                                           (-order, ref.inverse(dx_dt))))
     coeffs = [list(g.coeffs) for g in D1.coeffs]
+    known = min(len(V) - (len(coeffs) - 1), *map(len, coeffs))
+    if known < 1:
+        raise PrecisionError("slot 1 is known to no coefficient", needed=chart.T + 1 - known)
     chain = [V]
     for _ in range(len(coeffs) - 1):
         chain.append(ref.derivative(chain[-1]))
@@ -524,9 +550,8 @@ def fraction_compose(D1, chart):
                 term = ref.scale(ref.mul(c, vk), comb(i, k))
                 j = i - k + 1
                 out[j] = term if out[j] is None else ref.add(out[j], term)
+    out = [[Fraction(0)] * known if G is None else G for G in out]
     out[0] = [Fraction(0)] * len(coeffs[-1])
-    if None in out:
-        raise DomainError("a slot no term reaches")
     while out and not any(out[-1]):
         out.pop()
     if not out:
@@ -573,16 +598,17 @@ class TestIntegerCompose:
         assume(any(not g.is_known_zero() for g in coeffs) and v[0])
         V = TruncatedSeries(v + [Fraction(0)] * pad)
         chart = SimpleNamespace(y=LaurentSeries.from_series(V), dx_dt=LaurentSeries.from_series(S([1], 20)),
-                                disk="test disk")
+                                disk="test disk", T=V.truncation)
         D1 = DifferentialOperator(coeffs)
-        # a V too short for the order leaves a slot unreached or a derivative
-        # undefined: both paths must then raise alike
-        errors = (DegenerateOperatorError, DomainError, PrecisionError)
+        # a V too short for the order leaves slot 1 known to no coefficient:
+        # both paths must then raise alike, with the same T to retry at
+        errors = (DegenerateOperatorError, PrecisionError)
         try:
             expected = fraction_compose(D1, chart)
         except errors as exc:
-            with pytest.raises(type(exc)):
+            with pytest.raises(type(exc)) as raised:
                 compose_with_base(D1, "omega0", chart)
+            assert getattr(raised.value, "needed", None) == getattr(exc, "needed", None)
         else:
             assert same_lists(compose_with_base(D1, "omega0", chart).coeffs, expected)
 
@@ -779,12 +805,11 @@ class TestLocalOperator:
         (case,) = workload_cases("genus2_even_p7", 3)
         spec = case.spec
         disks = residue_disks(spec.curve, spec.p)
-        plan = SpecPlan(spec, disks)
+        D = algebraic_operator(spec)
         nonweierstrass = [d for d in disks if d.kind == "affine_nonweierstrass"]
         assert nonweierstrass
         for disk in nonweierstrass:
             chart = chart_for(spec.curve, disk, spec.p, spec.T)
-            D = plan.operators[disk.kind].D
             L = local_operator(D, chart)
             assert L.order == D.order
             known = [G.truncation for G in L.coeffs]

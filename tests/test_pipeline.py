@@ -4,11 +4,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from operator_oracle import oracle_local_operator
 from perfbench_support import perfbench_module, workload_cases
 
 from qcbound import funcfield, pipeline
 from qcbound.coleman import ColemanSpec, DiskConstants, expand_G
-from qcbound.diffops import apply_series, compose_with_base, local_operator, weierstrass_local_annihilator
+from qcbound.diffops import apply_series
 from qcbound.errors import DomainError, PrecisionError
 from qcbound.funcfield import CurveFunction, chart_for, ledger_of
 from qcbound.hyperelliptic import CurveModel, DiskDescriptor, count_points_fp, residue_disks
@@ -509,11 +510,7 @@ class TestSlopeTransfer:
                 if disk.kind == "infinite" or not analyze_disk(plan, disk).ok:
                     continue
                 chart = chart_for(spec.curve, disk, spec.p, spec.T)
-                D = plan.operators[disk.kind].D
-                if D is None:
-                    L = compose_with_base(weierstrass_local_annihilator(chart), "omega0", chart)
-                else:
-                    L = local_operator(D, chart)
+                L = oracle_local_operator(plan, disk, chart)
                 G = expand_G(spec, chart)
                 DG = apply_series(L, G)
                 assert slope_transfer_check(G, DG, L.order, spec.p, plan.floor, plan.floor,

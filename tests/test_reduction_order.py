@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from operator_oracle import algebraic_operator
 from perfbench_support import workload_cases
 
 from qcbound.coleman import ColemanSpec, certify_algebraic, expand_G
@@ -165,8 +166,8 @@ def series_route(plan, disk):
     """(certified, n_b, method) from the series route on one disk."""
     spec = plan.spec
     chart = chart_for(spec.curve, disk, spec.p, spec.T)
-    D, _, _, candidate, degree = plan.operators[disk.kind]
-    DG = apply_series(local_operator(D, chart), expand_G(spec, chart))
+    _, _, _, candidate, degree = plan.operators[disk.kind]
+    DG = apply_series(local_operator(algebraic_operator(spec), chart), expand_G(spec, chart))
     certified = certify_algebraic(DG, candidate, chart)
     n_b, method = algebraic_zero_count(DG, spec.p, plan.floor, degree, val=chart.valuation_of)
     return certified, n_b, method

@@ -20,13 +20,16 @@ does, and ``setup_s``, which imports the library, measures that compile.
 
 For every end-to-end metric of BENCHMARK.json this prints the median of
 each side, the parent's quartiles, the median over pairs of the ratio
-change / parent, and in how many pairs the change was better, and each
-side's failed and attempted operations summed over its runs, and whether the
-change's median is worse than the parent's by more than the metric's
-relative bound.  A metric that is not worse is "unresolved" when the spread
-of the parent's quartiles exceeds that bound, unless every run of the change
-beat every run of the parent: the runs then cannot tell a change within the
-bound from noise.  Exits 1 when any run fails its correctness gate, when the
+change / parent, in how many pairs the change was better, the change of the
+median against the metric's relative bound (``+8.4% of 10%``), in how many
+pairs the change alone was worse than the parent by more than that bound,
+and whether the change's median is worse than the parent's by more than the
+bound; then each side's failed and attempted operations summed over its
+runs.  The margin and the pairs over the bound only inform: the verdict and
+the exit code read the medians.  A metric that is not worse is
+"unresolved" when the spread of the parent's quartiles exceeds that bound,
+unless every run of the change beat every run of the parent: the runs then
+cannot tell a change within the bound from noise.  Exits 1 when any run fails its correctness gate, when the
 change's failed share is above the parent's or when a metric is worse than
 its bound, 0 otherwise.
 
@@ -106,6 +109,11 @@ def main(argv=None):
         return run_pairs(args, sides)
 
 
+def worse_by(parent, change, lower):
+    """How much worse ``change`` is than ``parent``; negative when better."""
+    return change - parent if lower else parent - change
+
+
 def run_pairs(args, sides):
     """Run the pairs in the checkouts ``sides`` and print the comparison; the exit code."""
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -126,7 +134,8 @@ def run_pairs(args, sides):
             f"{m['name']} {values['parent'][m['name']][-1]:.4g} -> {values['change'][m['name']][-1]:.4g}"
             for m in metrics), flush=True)
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs at --seconds {seconds}")
-    print(f"{'metric':<14} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'ratio':>8}  better  bound")
+    print(f"{'metric':<14} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'ratio':>8}  better"
+          f"  {'median vs bound':>15}  over  bound")
     beyond_bound = []
     for m in metrics:
         name = m["name"]
@@ -140,7 +149,9 @@ def run_pairs(args, sides):
         mp, mc = statistics.median(parent), statistics.median(change)
         spread = q3 - q1
         beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
-        if (mc - mp if lower else mp - mc) > m["bound"] * abs(mp):
+        margin = f"{mc / mp - 1:+.1%} of {m['bound']:.0%}" if mp else "-"
+        over = sum(worse_by(p, c, lower) > m["bound"] * abs(p) for p, c in zip(parent, change))
+        if worse_by(mp, mc, lower) > m["bound"] * abs(mp):
             beyond_bound.append(name)
             verdict = f"WORSE than {m['bound']:.0%}"
         elif spread > m["bound"] * abs(mp) and not beats_all:
@@ -148,7 +159,7 @@ def run_pairs(args, sides):
         else:
             verdict = f"within {m['bound']:.0%}"
         print(f"{name:<14} {mp:>10.4g} {quartiles:>21} {mc:>10.4g} "
-              f"{ratio:>8}  {better}/{args.pairs}  {verdict}")
+              f"{ratio:>8}  {better}/{args.pairs}  {margin:>15}  {over}/{args.pairs}  {verdict}")
     for side, ops in operations.items():
         print(f"{side}: {ops['failed']}/{ops['attempted']} operations failed")
     share = {side: ops["failed"] / max(ops["attempted"], 1) for side, ops in operations.items()}
